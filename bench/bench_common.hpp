@@ -23,6 +23,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <string>
 #include <utility>
@@ -309,6 +310,15 @@ inline std::vector<SweepResult> run_sweep(const std::vector<SweepPoint>& points,
     }
   }
   return results;
+}
+
+/// Positive integer from environment variable `name`, else `def`.
+inline int env_int(const char* name, int def) {
+  if (const char* s = std::getenv(name)) {
+    const int v = std::atoi(s);
+    if (v > 0) return v;
+  }
+  return def;
 }
 
 inline void print_header(const std::string& title, const std::string& paper_ref,

@@ -21,14 +21,10 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "fabric_driver.hpp"
 #include "net/conga_switch.hpp"
-#include "prof/prof.hpp"
-#include "net/fat_tree.hpp"
 #include "net/letflow_switch.hpp"
-#include "net/packet_pool.hpp"
-#include "net/topology.hpp"
-#include "overlay/paths.hpp"
-#include "sim/simulator.hpp"
+#include "prof/prof.hpp"
 #include "telemetry/hub.hpp"
 #include "telemetry/scope.hpp"
 
@@ -59,24 +55,10 @@ namespace {
 
 using namespace clove;
 
-/// A host that terminates packets (returning them to the simulator's pool).
-class SinkHost : public net::Node {
- public:
-  SinkHost(net::NodeId id, std::string name) : Node(id, std::move(name)) {}
-  void receive(net::PacketPtr pkt, int /*in_port*/) override {
-    ++received;
-    pkt.reset();
-  }
-  std::uint64_t received{0};
-};
+using bench::SinkHost;
+using bench::TrafficDriver;
 
-int rounds_from_env() {
-  if (const char* s = std::getenv("CLOVE_FABRIC_ROUNDS")) {
-    const int v = std::atoi(s);
-    if (v > 0) return v;
-  }
-  return 256;
-}
+int rounds_from_env() { return bench::env_int("CLOVE_FABRIC_ROUNDS", 256); }
 
 /// Packets injected per source host per round. The default keeps the
 /// in-flight population (batch x hosts x Packet size) inside the L2 working
@@ -84,13 +66,7 @@ int rounds_from_env() {
 /// large batches every hop misses on its packet line and all datapaths
 /// converge to memory latency. Raise it (CLOVE_FABRIC_BATCH) to measure the
 /// DRAM-bound incast regime instead.
-int batch_from_env() {
-  if (const char* s = std::getenv("CLOVE_FABRIC_BATCH")) {
-    const int v = std::atoi(s);
-    if (v > 0) return v;
-  }
-  return 8;
-}
+int batch_from_env() { return bench::env_int("CLOVE_FABRIC_BATCH", 8); }
 
 struct ScenarioResult {
   double pkts_per_sec{0.0};
@@ -99,41 +75,6 @@ struct ScenarioResult {
   double allocs_per_pkt{0.0};
   std::uint64_t packets{0};
   std::uint64_t hops{0};
-};
-
-/// Inject `batch` packets from every source host towards a fixed remote
-/// destination per source, cycling source ports so ECMP and flowlet tables
-/// see a realistic mix of repeated and fresh tuples, then drain the sim.
-struct TrafficDriver {
-  std::vector<net::Node*> sources;
-  std::vector<net::Node*> dests;  ///< dests[i] is the peer of sources[i]
-  int batch{64};
-  std::uint32_t port_cycle{0};
-
-  std::uint64_t run_round(sim::Simulator& sim) {
-    std::uint64_t injected = 0;
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      net::Node* src = sources[i];
-      net::Node* dst = dests[i];
-      for (int b = 0; b < batch; ++b) {
-        auto pkt = net::make_packet(sim);
-        pkt->inner =
-            net::FiveTuple{src->ip(), dst->ip(),
-                           static_cast<std::uint16_t>(
-                               overlay::kEphemeralBase +
-                               ((port_cycle + static_cast<std::uint32_t>(b)) &
-                                1023u)),
-                           7471, net::Proto::kStt};
-        pkt->payload = 1460;
-        pkt->ttl = 64;
-        src->port(0)->enqueue(std::move(pkt));
-        ++injected;
-      }
-    }
-    port_cycle += 7;  // shift the tuple window between rounds
-    sim.run();
-    return injected;
-  }
 };
 
 ScenarioResult measure(sim::Simulator& sim, net::Topology& topo,
@@ -191,99 +132,37 @@ void report(const std::string& name, const ScenarioResult& r) {
 void scenario_fat_tree(int rounds) {
   sim::Simulator sim;
   net::Topology topo(sim);
-  net::FatTreeConfig cfg;
-  cfg.k = 4;
-  net::FatTree ft = net::build_fat_tree(
-      topo, cfg, [](net::Topology& t, const std::string& name, int /*pod*/) {
-        return t.add_host<SinkHost>(name);
-      });
-
-  TrafficDriver driver;
-  const int pods = ft.n_pods();
-  for (int pod = 0; pod < pods; ++pod) {
-    const auto& hosts = ft.hosts_by_pod[static_cast<std::size_t>(pod)];
-    const auto& peers =
-        ft.hosts_by_pod[static_cast<std::size_t>((pod + pods / 2) % pods)];
-    for (std::size_t i = 0; i < hosts.size(); ++i) {
-      driver.sources.push_back(hosts[i]);
-      driver.dests.push_back(peers[i % peers.size()]);
-    }
-  }
+  TrafficDriver driver = bench::cross_pod_driver(topo, 4, batch_from_env());
   report("fat_tree_ecmp", measure(sim, topo, driver, rounds));
 }
 
-/// Leaf-spine with LetFlow (flowlet-table) leaves: 3 switch hops per packet.
-void scenario_letflow(int rounds) {
+/// Leaf-spine whose leaves are LetFlow (flowlet table) or CONGA (flowlet
+/// table + congestion metric tables + per-packet header stamping) switches,
+/// with every host sending to its peer on the other leaf: 3 switch hops per
+/// packet.
+void scenario_leaf_spine(bool conga, int rounds) {
   sim::Simulator sim;
   net::Topology topo(sim);
   net::LeafSpineConfig cfg;
   cfg.hosts_per_leaf = 8;
+  cfg.conga_metric = conga;
   net::LeafSpine net = net::build_leaf_spine(
       topo, cfg,
       [](net::Topology& t, const std::string& name, int /*leaf*/) {
         return t.add_host<SinkHost>(name);
       },
-      [&sim](net::NodeId id, std::string name,
-             int leaf_idx) -> std::unique_ptr<net::Switch> {
-        if (leaf_idx >= 0) {
-          return std::make_unique<net::LetFlowSwitch>(sim, id, std::move(name));
+      [&sim, conga](net::NodeId id, std::string name,
+                    int leaf_idx) -> std::unique_ptr<net::Switch> {
+        if (leaf_idx < 0) {
+          return std::make_unique<net::Switch>(sim, id, std::move(name));
         }
-        return std::make_unique<net::Switch>(sim, id, std::move(name));
-      });
-
-  TrafficDriver driver;
-  for (std::size_t i = 0; i < net.hosts_by_leaf[0].size(); ++i) {
-    driver.sources.push_back(net.hosts_by_leaf[0][i]);
-    driver.dests.push_back(net.hosts_by_leaf[1][i]);
-    driver.sources.push_back(net.hosts_by_leaf[1][i]);
-    driver.dests.push_back(net.hosts_by_leaf[0][i]);
-  }
-  report("leaf_spine_letflow", measure(sim, topo, driver, rounds));
-}
-
-/// Leaf-spine with CONGA leaves (flowlet table + congestion metric tables
-/// + per-packet header stamping): 3 switch hops per packet.
-void scenario_conga(int rounds) {
-  sim::Simulator sim;
-  net::Topology topo(sim);
-  net::LeafSpineConfig cfg;
-  cfg.hosts_per_leaf = 8;
-  cfg.conga_metric = true;
-  net::LeafSpine net = net::build_leaf_spine(
-      topo, cfg,
-      [](net::Topology& t, const std::string& name, int /*leaf*/) {
-        return t.add_host<SinkHost>(name);
-      },
-      [&sim](net::NodeId id, std::string name,
-             int leaf_idx) -> std::unique_ptr<net::Switch> {
-        if (leaf_idx >= 0) {
+        if (conga) {
           return std::make_unique<net::CongaLeafSwitch>(sim, id,
                                                         std::move(name));
         }
-        return std::make_unique<net::Switch>(sim, id, std::move(name));
+        return std::make_unique<net::LetFlowSwitch>(sim, id, std::move(name));
       });
-
-  std::unordered_map<net::IpAddr, int> host_leaf;
-  for (std::size_t l = 0; l < net.hosts_by_leaf.size(); ++l) {
-    for (net::Node* h : net.hosts_by_leaf[l]) {
-      host_leaf[h->ip()] = static_cast<int>(l);
-    }
-  }
-  for (std::size_t l = 0; l < net.leaves.size(); ++l) {
-    auto* leaf = dynamic_cast<net::CongaLeafSwitch*>(net.leaves[l]);
-    if (leaf == nullptr) continue;
-    std::vector<int> uplinks;
-    for (int p = 0; p < leaf->port_count(); ++p) {
-      const net::Node* peer = leaf->port(p)->dst();
-      for (const net::Switch* spine : net.spines) {
-        if (peer == spine) {
-          uplinks.push_back(p);
-          break;
-        }
-      }
-    }
-    leaf->configure_fabric(static_cast<int>(l), std::move(uplinks), host_leaf);
-  }
+  if (conga) net::configure_conga_leaves(net);
 
   TrafficDriver driver;
   for (std::size_t i = 0; i < net.hosts_by_leaf[0].size(); ++i) {
@@ -292,7 +171,8 @@ void scenario_conga(int rounds) {
     driver.sources.push_back(net.hosts_by_leaf[1][i]);
     driver.dests.push_back(net.hosts_by_leaf[0][i]);
   }
-  report("leaf_spine_conga", measure(sim, topo, driver, rounds));
+  report(conga ? "leaf_spine_conga" : "leaf_spine_letflow",
+         measure(sim, topo, driver, rounds));
 }
 
 /// Price the flight recorder against the forwarding datapath: the same
@@ -309,25 +189,7 @@ void scenario_conga(int rounds) {
 void scenario_flight_guard(int rounds) {
   sim::Simulator sim;
   net::Topology topo(sim);
-  net::FatTreeConfig cfg;
-  cfg.k = 4;
-  net::FatTree ft = net::build_fat_tree(
-      topo, cfg, [](net::Topology& t, const std::string& name, int /*pod*/) {
-        return t.add_host<SinkHost>(name);
-      });
-
-  TrafficDriver driver;
-  const int pods = ft.n_pods();
-  for (int pod = 0; pod < pods; ++pod) {
-    const auto& hosts = ft.hosts_by_pod[static_cast<std::size_t>(pod)];
-    const auto& peers =
-        ft.hosts_by_pod[static_cast<std::size_t>((pod + pods / 2) % pods)];
-    for (std::size_t i = 0; i < hosts.size(); ++i) {
-      driver.sources.push_back(hosts[i]);
-      driver.dests.push_back(peers[i % peers.size()]);
-    }
-  }
-  driver.batch = batch_from_env();
+  TrafficDriver driver = bench::cross_pod_driver(topo, 4, batch_from_env());
   for (int r = 0; r < 8; ++r) driver.run_round(sim);  // warm pools/tables
 
   telemetry::ScopeSettings off_st;
@@ -389,25 +251,7 @@ void scenario_flight_guard(int rounds) {
 void scenario_prof_guard(int rounds) {
   sim::Simulator sim;
   net::Topology topo(sim);
-  net::FatTreeConfig cfg;
-  cfg.k = 4;
-  net::FatTree ft = net::build_fat_tree(
-      topo, cfg, [](net::Topology& t, const std::string& name, int /*pod*/) {
-        return t.add_host<SinkHost>(name);
-      });
-
-  TrafficDriver driver;
-  const int pods = ft.n_pods();
-  for (int pod = 0; pod < pods; ++pod) {
-    const auto& hosts = ft.hosts_by_pod[static_cast<std::size_t>(pod)];
-    const auto& peers =
-        ft.hosts_by_pod[static_cast<std::size_t>((pod + pods / 2) % pods)];
-    for (std::size_t i = 0; i < hosts.size(); ++i) {
-      driver.sources.push_back(hosts[i]);
-      driver.dests.push_back(peers[i % peers.size()]);
-    }
-  }
-  driver.batch = batch_from_env();
+  TrafficDriver driver = bench::cross_pod_driver(topo, 4, batch_from_env());
   for (int r = 0; r < 8; ++r) driver.run_round(sim);  // warm pools/tables
 
   // Arm 2's profiler, warmed once so first-use effects (clock calibration,
@@ -470,8 +314,8 @@ int main() {
   std::printf("rounds: %d per scenario (CLOVE_FABRIC_ROUNDS to change)\n\n",
               rounds);
   scenario_fat_tree(rounds);
-  scenario_letflow(rounds);
-  scenario_conga(rounds);
+  scenario_leaf_spine(/*conga=*/false, rounds);
+  scenario_leaf_spine(/*conga=*/true, rounds);
   scenario_flight_guard(rounds);
   scenario_prof_guard(rounds);
   return 0;

@@ -29,10 +29,10 @@
 // (scripts/bench_check.py) to be meaningful.
 //
 // With CLOVE_FLIGHT_RECORDER on and CLOVE_JSON_OUT set, each scheme also
-// exports FLIGHT_fault_<scheme>.json (+ journey/flow JSONL) so
-// scripts/trace_summarize.py can audit the run: drops on the failed link
-// must be accounted, and no packet may vanish or reorder while the path
-// set churns.
+// exports FLIGHT_fault_<scheme>.json (+ journey/flow JSONL and link time
+// series, via harness::export_flight) so scripts/trace_summarize.py can
+// audit the run: drops on the failed link must be accounted, and no packet
+// may vanish or reorder while the path set churns.
 
 #include <algorithm>
 #include <cstdio>
@@ -107,13 +107,8 @@ SchemeOutcome run_scheme(harness::Scheme scheme, int jobs_per_conn) {
   wl.load = 0.45;
   wl.jobs_per_conn = jobs_per_conn;
   wl.conns_per_client = 2;
-  wl.tcp = cfg.tcp;
-  wl.use_mptcp = false;
-  wl.start_time = cfg.traffic_start;
-  wl.seed = cfg.seed * 977 + 3;
-
-  workload::ClientServerWorkload ws(tb.simulator(), wl, tb.clients(),
-                                    tb.servers());
+  workload::ClientServerWorkload ws(tb.simulator(), tb.workload_config(wl),
+                                    tb.clients(), tb.servers());
 
   std::vector<FctBucket> buckets;
   double pre_sum = 0.0, post_sum = 0.0;
@@ -174,26 +169,8 @@ SchemeOutcome run_scheme(harness::Scheme scheme, int jobs_per_conn) {
     }
   }
 
-  if (auto* fr = telemetry::flight()) {
-    const telemetry::FlightSummary fs = fr->summary(tb.simulator().now());
-    out.audit_violations = fs.audit.total();
-    const std::string dir = telemetry::json_out_dir();
-    if (!dir.empty()) {
-      const std::string stem = "fault_" + scheme_key(scheme);
-      telemetry::Json doc = fs.to_json();
-      doc.set("scheme", telemetry::Json(stem));
-      telemetry::Json names = telemetry::Json::object();
-      for (const telemetry::PathUsage& pu : fs.paths) {
-        names.set(std::to_string(pu.via), telemetry::Json(fr->node_name(pu.via)));
-      }
-      doc.set("node_names", std::move(names));
-      telemetry::write_json_artifact(dir, "FLIGHT_" + stem, doc);
-      telemetry::write_text_artifact(dir, "flight_" + stem + "_journeys.jsonl",
-                                     fr->journeys_jsonl());
-      telemetry::write_text_artifact(dir, "flight_" + stem + "_flows.jsonl",
-                                     fr->flows_jsonl());
-    }
-  }
+  out.audit_violations =
+      harness::export_flight(tb, "fault_" + scheme_key(scheme)).audit.total();
   return out;
 }
 
@@ -202,9 +179,7 @@ SchemeOutcome run_scheme(harness::Scheme scheme, int jobs_per_conn) {
 int main() {
   using namespace clove;
 
-  const char* env = std::getenv("CLOVE_FAULT_JOBS");
-  const int fault_jobs =
-      (env != nullptr && std::atoi(env) > 0) ? std::atoi(env) : 300;
+  const int fault_jobs = bench::env_int("CLOVE_FAULT_JOBS", 300);
   harness::BenchScale scale;
   scale.jobs_per_conn = fault_jobs;
   scale.seeds = 1;

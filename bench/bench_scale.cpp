@@ -29,85 +29,22 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "fabric_driver.hpp"
 #include "harness/shard_runner.hpp"
 #include "hybrid/hybrid.hpp"
-#include "lb/ecmp.hpp"
-#include "net/fat_tree.hpp"
-#include "net/packet_pool.hpp"
 #include "net/shard.hpp"
-#include "net/topology.hpp"
-#include "overlay/hypervisor.hpp"
-#include "overlay/paths.hpp"
 #include "prof/prof.hpp"
-#include "sim/simulator.hpp"
 #include "telemetry/hub.hpp"
-#include "workload/client_server.hpp"
 #include "workload/flow_size.hpp"
 
 namespace {
 
 using namespace clove;
 
-/// A host that terminates packets (returning them to the simulator's pool).
-class SinkHost : public net::Node {
- public:
-  SinkHost(net::NodeId id, std::string name) : Node(id, std::move(name)) {}
-  void receive(net::PacketPtr pkt, int /*in_port*/) override {
-    ++received;
-    pkt.reset();
-  }
-  std::uint64_t received{0};
-};
+using bench::TrafficDriver;
 
-int rounds_from_env() {
-  if (const char* s = std::getenv("CLOVE_SCALE_ROUNDS")) {
-    const int v = std::atoi(s);
-    if (v > 0) return v;
-  }
-  return 64;
-}
-
-int batch_from_env() {
-  if (const char* s = std::getenv("CLOVE_SCALE_BATCH")) {
-    const int v = std::atoi(s);
-    if (v > 0) return v;
-  }
-  return 4;
-}
-
-/// Inject `batch` packets from every host towards its cross-pod peer, then
-/// drain the simulator (same driver as bench_fabric_forwarding).
-struct TrafficDriver {
-  std::vector<net::Node*> sources;
-  std::vector<net::Node*> dests;
-  int batch{4};
-  std::uint32_t port_cycle{0};
-
-  std::uint64_t run_round(sim::Simulator& sim) {
-    std::uint64_t injected = 0;
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      net::Node* src = sources[i];
-      net::Node* dst = dests[i];
-      for (int b = 0; b < batch; ++b) {
-        auto pkt = net::make_packet(sim);
-        pkt->inner =
-            net::FiveTuple{src->ip(), dst->ip(),
-                           static_cast<std::uint16_t>(
-                               overlay::kEphemeralBase +
-                               ((port_cycle + static_cast<std::uint32_t>(b)) &
-                                1023u)),
-                           7471, net::Proto::kStt};
-        pkt->payload = 1460;
-        pkt->ttl = 64;
-        src->port(0)->enqueue(std::move(pkt));
-        ++injected;
-      }
-    }
-    port_cycle += 7;
-    sim.run();
-    return injected;
-  }
-};
+int rounds_from_env() { return bench::env_int("CLOVE_SCALE_ROUNDS", 64); }
+int batch_from_env() { return bench::env_int("CLOVE_SCALE_BATCH", 4); }
 
 /// One k-ary fat-tree with cross-pod all-hosts traffic, self-contained so
 /// two scales can coexist for the interleaved ratio phase.
@@ -117,25 +54,9 @@ struct Fabric {
   TrafficDriver driver;
   int hosts{0};
 
-  explicit Fabric(int k) {
-    net::FatTreeConfig cfg;
-    cfg.k = k;
-    net::FatTree ft = net::build_fat_tree(
-        topo, cfg, [](net::Topology& t, const std::string& name, int /*pod*/) {
-          return t.add_host<SinkHost>(name);
-        });
-    const int pods = ft.n_pods();
-    for (int pod = 0; pod < pods; ++pod) {
-      const auto& hs = ft.hosts_by_pod[static_cast<std::size_t>(pod)];
-      const auto& peers =
-          ft.hosts_by_pod[static_cast<std::size_t>((pod + pods / 2) % pods)];
-      for (std::size_t i = 0; i < hs.size(); ++i) {
-        driver.sources.push_back(hs[i]);
-        driver.dests.push_back(peers[i % peers.size()]);
-      }
-    }
-    hosts = static_cast<int>(driver.sources.size());
-    driver.batch = batch_from_env();
+  explicit Fabric(int k)
+      : driver(bench::cross_pod_driver(topo, k, batch_from_env())),
+        hosts(static_cast<int>(driver.sources.size())) {
     for (int r = 0; r < 8; ++r) driver.run_round(sim);  // warm pools/tables
   }
 };
@@ -158,24 +79,8 @@ struct ShardedFabric {
   ShardedFabric(int k, int shards, unsigned threads = 0)
       : dom(sim, shards, /*seed=*/1) {
     topo.set_shard_domain(&dom);
-    net::FatTreeConfig cfg;
-    cfg.k = k;
-    net::FatTree ft = net::build_fat_tree(
-        topo, cfg, [](net::Topology& t, const std::string& name, int /*pod*/) {
-          return t.add_host<SinkHost>(name);
-        });
-    const int pods = ft.n_pods();
-    for (int pod = 0; pod < pods; ++pod) {
-      const auto& hs = ft.hosts_by_pod[static_cast<std::size_t>(pod)];
-      const auto& peers =
-          ft.hosts_by_pod[static_cast<std::size_t>((pod + pods / 2) % pods)];
-      for (std::size_t i = 0; i < hs.size(); ++i) {
-        driver.sources.push_back(hs[i]);
-        driver.dests.push_back(peers[i % peers.size()]);
-      }
-    }
+    driver = bench::cross_pod_driver(topo, k, batch_from_env());
     hosts = static_cast<int>(driver.sources.size());
-    driver.batch = batch_from_env();
     pairs_by_shard_.resize(static_cast<std::size_t>(dom.shard_count()));
     for (std::size_t i = 0; i < driver.sources.size(); ++i) {
       const int s = topo.shard_of(driver.sources[i]);
@@ -208,16 +113,8 @@ struct ShardedFabric {
       ssim.schedule_at(t, [&pairs, pc, batch, &ssim] {
         for (const auto& [src, dst] : pairs) {
           for (int b = 0; b < batch; ++b) {
-            auto pkt = net::make_packet(ssim);
-            pkt->inner = net::FiveTuple{
-                src->ip(), dst->ip(),
-                static_cast<std::uint16_t>(
-                    overlay::kEphemeralBase +
-                    ((pc + static_cast<std::uint32_t>(b)) & 1023u)),
-                7471, net::Proto::kStt};
-            pkt->payload = 1460;
-            pkt->ttl = 64;
-            src->port(0)->enqueue(std::move(pkt));
+            src->port(0)->enqueue(TrafficDriver::make(
+                ssim, src, dst, pc + static_cast<std::uint32_t>(b)));
           }
         }
       });
@@ -243,80 +140,37 @@ struct ShardedFabric {
   }
 };
 
-/// A k-ary fat-tree of Clove hypervisors running the §5 web-search RPC
-/// workload over TCP/ECMP — the elephant-heavy TCP arm the hybrid
-/// flow/packet engine (DESIGN.md §12) exists for. Self-contained so the
-/// off/on runs are a same-process A/B with identical seeds and workloads.
-struct HybridArm {
-  sim::Simulator sim;
-  net::Topology topo{sim};
-  std::vector<overlay::Hypervisor*> clients, servers;
-  std::unique_ptr<hybrid::Engine> engine;
-  std::unique_ptr<workload::ClientServerWorkload> wl;
-  double access_bytes_per_sec{0.0};
-
-  HybridArm(int k, bool hybrid_on) {
-    net::FatTreeConfig cfg;
-    cfg.k = k;
-    net::FatTree ft = net::build_fat_tree(
-        topo, cfg, [this](net::Topology& t, const std::string& name, int) {
-          overlay::HypervisorConfig h;
-          h.tcp.ecn = true;
-          return static_cast<net::Node*>(t.add_host<overlay::Hypervisor>(
-              name, sim, h, std::make_unique<lb::EcmpPolicy>()));
-        });
-    const int pods = ft.n_pods();
-    for (int pod = 0; pod < pods; ++pod) {
-      auto& side = pod < pods / 2 ? clients : servers;
-      for (net::Node* h : ft.hosts_by_pod[static_cast<std::size_t>(pod)]) {
-        side.push_back(static_cast<overlay::Hypervisor*>(h));
-      }
-    }
-    // The fat tree is full-bisection, so the clients' access links are the
-    // deliverable cut the workload's offered load is priced against.
-    access_bytes_per_sec = sim::gbps_to_bytes_per_sec(cfg.host_gbps) *
-                           static_cast<double>(clients.size());
-    if (hybrid_on) {
-      hybrid::HybridConfig hc = hybrid::HybridConfig::from_env();
-      hc.enabled = true;
-      engine = std::make_unique<hybrid::Engine>(sim, hc);
-      for (const auto& l : topo.links()) engine->add_link(l.get());
-      for (net::Node* h : topo.hosts()) {
-        static_cast<overlay::Hypervisor*>(h)->set_hybrid(engine.get());
-      }
-    }
-  }
-
-  struct RunResult {
-    double wall_s{0.0};
-    std::uint64_t events{0};
-    std::uint64_t jobs{0};
-    double mice_avg_s{0.0};
-    double mice_p99_s{0.0};
-  };
-
-  RunResult run(const harness::BenchScale& scale) {
-    workload::ClientServerConfig w;
-    w.conns_per_client = scale.conns_per_client;
-    w.jobs_per_conn = scale.jobs_per_conn;
-    w.load = 0.6;
-    w.bisection_bytes_per_sec = access_bytes_per_sec;
-    w.tcp.ecn = true;
-    wl = std::make_unique<workload::ClientServerWorkload>(sim, w, clients,
-                                                          servers);
-    const auto t0 = std::chrono::steady_clock::now();
-    wl->start([this] { sim.stop(); });
-    sim.run(sim::seconds(600.0));
-    const auto t1 = std::chrono::steady_clock::now();
-    RunResult r;
-    r.wall_s = std::chrono::duration<double>(t1 - t0).count();
-    r.events = sim.events_processed();
-    r.jobs = wl->jobs_done();
-    r.mice_avg_s = wl->fct().mice().mean();
-    r.mice_p99_s = wl->fct().mice().percentile(99);
-    return r;
-  }
+struct HybridRun {
+  double wall_s{0.0};
+  harness::ExperimentResult r;
 };
+
+/// The §5 web-search RPC workload over TCP/ECMP on a k=8 fat-tree of
+/// hypervisors — the elephant-heavy TCP arm the hybrid flow/packet engine
+/// (DESIGN.md §12) exists for. The off/on runs differ only in `hybrid_on`,
+/// a same-process A/B with identical seeds and workloads.
+HybridRun run_hybrid_arm(const hybrid::HybridConfig& hc, bool hybrid_on,
+                         const harness::BenchScale& scale) {
+  harness::ExperimentConfig cfg = harness::make_testbed_profile();
+  cfg.scheme = harness::Scheme::kEcmp;
+  cfg.fat_tree_k = 8;
+  // The committed hybrid.* rows were measured with traffic from 50 ms.
+  cfg.traffic_start = 50 * sim::kMillisecond;
+  cfg.hybrid = hc;
+  cfg.hybrid.enabled = hybrid_on;
+  workload::ClientServerConfig w;
+  w.conns_per_client = scale.conns_per_client;
+  w.jobs_per_conn = scale.jobs_per_conn;
+  w.load = 0.6;
+  w.seed = 42;
+  const auto t0 = std::chrono::steady_clock::now();
+  HybridRun run;
+  run.r = harness::run_fct_experiment(cfg, w);
+  run.wall_s = std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+  return run;
+}
 
 /// min(a/b, b/a): 1.0 = identical, smaller = farther apart. The committed
 /// floor pins how closely the hybrid run must track the packet-exact one.
@@ -577,32 +431,26 @@ int main() {
         static_cast<unsigned long long>(hc.ramp_bytes + hc.min_remaining),
         100.0 * promotable);
 
-    HybridArm::RunResult off, on;
-    std::uint64_t promotions = 0, fluid_bytes = 0;
     // Fold both arms into the artifact's engine gauges: the packet-exact
     // arm dominates process wall-clock by design, so leaving its events out
     // would crater the whole-artifact engine.events_per_sec composite that
     // bench_check floors.
-    {
-      HybridArm arm(8, /*hybrid_on=*/false);
-      off = arm.run(scale);
-      artifact.note_engine(off.events, arm.sim.queue_high_water());
-    }
-    {
-      HybridArm arm(8, /*hybrid_on=*/true);
-      on = arm.run(scale);
-      artifact.note_engine(on.events, arm.sim.queue_high_water());
-      promotions = arm.engine->stats().promotions;
-      fluid_bytes = arm.engine->stats().fluid_bytes;
-    }
+    const HybridRun off = run_hybrid_arm(hc, /*hybrid_on=*/false, scale);
+    artifact.note_engine(off.r.events, off.r.queue_hwm);
+    const HybridRun on = run_hybrid_arm(hc, /*hybrid_on=*/true, scale);
+    artifact.note_engine(on.r.events, on.r.queue_hwm);
+    const std::uint64_t promotions = on.r.hybrid.promotions;
+    const std::uint64_t fluid_bytes = on.r.hybrid.fluid_bytes;
 
     const double speedup = off.wall_s / on.wall_s;
-    const double ev_reduction = static_cast<double>(off.events) /
+    const double ev_reduction = static_cast<double>(off.r.events) /
                                 static_cast<double>(std::max<std::uint64_t>(
-                                    1, on.events));
-    const double mice_match = match_ratio(off.mice_avg_s, on.mice_avg_s);
+                                    1, on.r.events));
+    const double mice_match =
+        match_ratio(off.r.mice_avg_fct_s, on.r.mice_avg_fct_s);
     const double jobs_match =
-        match_ratio(static_cast<double>(off.jobs), static_cast<double>(on.jobs));
+        match_ratio(static_cast<double>(off.r.jobs),
+                    static_cast<double>(on.r.jobs));
     std::printf(
         "  off: %7.3f s wall  %10llu events  %llu jobs  mice avg %.4fs p99 "
         "%.4fs\n"
@@ -615,10 +463,12 @@ int main() {
         "hybrid.mice_fct_match_ratio     %.4f  (1.0 = identical mice avg "
         "FCT)\n"
         "hybrid.jobs_match_ratio         %.4f  (must be 1.0)\n",
-        off.wall_s, static_cast<unsigned long long>(off.events),
-        static_cast<unsigned long long>(off.jobs), off.mice_avg_s,
-        off.mice_p99_s, on.wall_s, static_cast<unsigned long long>(on.events),
-        static_cast<unsigned long long>(on.jobs), on.mice_avg_s, on.mice_p99_s,
+        off.wall_s, static_cast<unsigned long long>(off.r.events),
+        static_cast<unsigned long long>(off.r.jobs), off.r.mice_avg_fct_s,
+        off.r.mice_p99_fct_s, on.wall_s,
+        static_cast<unsigned long long>(on.r.events),
+        static_cast<unsigned long long>(on.r.jobs), on.r.mice_avg_fct_s,
+        on.r.mice_p99_fct_s,
         static_cast<unsigned long long>(promotions),
         static_cast<double>(fluid_bytes) / 1e6, speedup, ev_reduction,
         mice_match, jobs_match);

@@ -1,5 +1,6 @@
 // Fat-tree demo: Clove's topology-agnosticism (§3.1) on a 3-tier k-ary
-// fat-tree. Builds a k=4 fat-tree of Clove hypervisors, discovers the
+// fat-tree. Builds a k=4 fat-tree of Clove hypervisors through the same
+// harness::Testbed as the leaf-spine experiments, discovers the
 // (k/2)^2 link-disjoint cross-pod paths, runs cross-pod transfers under
 // Clove-ECN, then fails a core link mid-run and shows rediscovery.
 //
@@ -8,34 +9,32 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "lb/clove_ecn.hpp"
-#include "net/fat_tree.hpp"
-#include "overlay/hypervisor.hpp"
-#include "sim/simulator.hpp"
+#include "harness/experiment.hpp"
 #include "transport/tcp.hpp"
 
 int main(int argc, char** argv) {
   using namespace clove;
 
-  const int k = argc > 1 ? std::atoi(argv[1]) : 4;
-  sim::Simulator sim(1);
-  net::Topology topo(sim);
-  net::FatTreeConfig cfg;
-  cfg.k = k;
+  harness::ExperimentConfig cfg;
+  cfg.scheme = harness::Scheme::kCloveEcn;
+  cfg.fat_tree_k = argc > 1 ? std::atoi(argv[1]) : 4;
+  if (cfg.fat_tree_k < 2 || cfg.fat_tree_k % 2 != 0) {
+    std::fprintf(stderr, "usage: fat_tree_clove [even k >= 2]\n");
+    return 2;
+  }
+  cfg.discovery.probe_timeout = 5 * sim::kMillisecond;
+  cfg.discovery.probe_interval = 100 * sim::kMillisecond;
+  cfg.discovery.max_ttl = 8;
+  cfg.discovery.sample_ports = 64;
+  cfg.discovery.k_paths = 16;
+  harness::Testbed tb(cfg);
+  sim::Simulator& sim = tb.simulator();
+  net::Topology& topo = tb.topology();
+  const net::FatTree& ft = tb.fat_tree();
+  const int k = cfg.fat_tree_k;
 
-  net::FatTree ft = net::build_fat_tree(
-      topo, cfg, [&sim](net::Topology& t, const std::string& name, int) {
-        overlay::HypervisorConfig h;
-        h.discovery.probe_timeout = 5 * sim::kMillisecond;
-        h.discovery.probe_interval = 100 * sim::kMillisecond;
-        h.discovery.max_ttl = 8;
-        h.discovery.sample_ports = 64;
-        h.discovery.k_paths = 16;
-        return static_cast<net::Node*>(t.add_host<overlay::Hypervisor>(
-            name, sim, h, std::make_unique<lb::CloveEcnPolicy>()));
-      });
-
-  auto* src = static_cast<overlay::Hypervisor*>(ft.hosts_by_pod[0][0]);
+  // The first client (pod 0) and the first host of the last pod.
+  overlay::Hypervisor* src = tb.clients().front();
   auto* dst = static_cast<overlay::Hypervisor*>(
       ft.hosts_by_pod[static_cast<std::size_t>(k - 1)][0]);
 
@@ -82,7 +81,7 @@ int main(int argc, char** argv) {
   const double gbps =
       static_cast<double>(bytes) * 8.0 / sim::to_seconds(done_at - t0) / 1e9;
   std::printf("\n20MB cross-pod transfer: %.2f Gb/s (host links: %.0fG)\n",
-              gbps, cfg.host_gbps);
+              gbps, ft.cfg.host_gbps);
 
   // Fail the core link the first discovered path uses, re-probe, and show
   // the new mapping avoids the dead core.

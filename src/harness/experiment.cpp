@@ -1,6 +1,8 @@
 #include "harness/experiment.hpp"
 
+#include <algorithm>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "lb/clove_ecn.hpp"
 #include "lb/clove_int.hpp"
@@ -99,132 +101,66 @@ overlay::HypervisorConfig Testbed::make_hyp_config() {
   return h;
 }
 
-Testbed::Testbed(const ExperimentConfig& cfg) : cfg_(cfg), sim_(cfg.seed) {
+namespace {
+
+const ExperimentConfig& validated(const ExperimentConfig& cfg) {
+  if (cfg.fat_tree_k != 0) {
+    if (cfg.fat_tree_k < 2 || cfg.fat_tree_k % 2 != 0) {
+      throw std::invalid_argument("fat_tree_k must be 0 or an even k >= 2");
+    }
+    if (!scheme_is_edge_based(cfg.scheme)) {
+      throw std::invalid_argument(scheme_name(cfg.scheme) +
+                                  " needs leaf-spine leaves");
+    }
+    if (cfg.asymmetric) {
+      throw std::invalid_argument("asymmetric fails the leaf-spine S2-L2 link");
+    }
+    return cfg;
+  }
+  const net::LeafSpineConfig& t = cfg.topo;
+  if (t.n_leaves < 2 || t.n_spines < 1 || t.links_per_pair < 1 ||
+      t.hosts_per_leaf < 1) {
+    throw std::invalid_argument(
+        "leaf-spine needs 2+ leaves and 1+ spines, links and hosts per leaf");
+  }
+  if (cfg.asymmetric && t.n_spines < 2) {
+    throw std::invalid_argument("asymmetric needs a second spine");
+  }
+  return cfg;
+}
+
+/// The run-wide part of a workload's config: guest transport, MPTCP choice
+/// and traffic start.
+template <typename W>
+W with_run_transport(W wl, const ExperimentConfig& cfg) {
+  wl.tcp = cfg.tcp;
+  wl.mptcp = cfg.mptcp;
+  wl.use_mptcp = (cfg.scheme == Scheme::kMptcp);
+  wl.start_time = cfg.traffic_start;
+  return wl;
+}
+
+}  // namespace
+
+net::Node* Testbed::make_host(net::Topology& topo, const std::string& name) {
+  return topo.add_host<overlay::Hypervisor>(name, sim_, make_hyp_config(),
+                                            make_policy());
+}
+
+Testbed::Testbed(const ExperimentConfig& cfg)
+    : cfg_(validated(cfg)), sim_(cfg.seed) {
   topo_ = std::make_unique<net::Topology>(sim_);
-
-  net::LeafSpineConfig topo_cfg = cfg_.topo;
-  topo_cfg.ecn_threshold_pkts = cfg_.ecn_threshold_pkts;
-  topo_cfg.int_telemetry = (cfg_.scheme == Scheme::kCloveInt);
-  topo_cfg.conga_metric = (cfg_.scheme == Scheme::kConga);
-
-  // Switch factory: CONGA / LetFlow replace the leaves; spines stay ECMP.
-  std::function<std::unique_ptr<net::Switch>(net::NodeId, std::string, int)>
-      make_switch;
-  if (cfg_.scheme == Scheme::kConga) {
-    make_switch = [this](net::NodeId id, std::string name, int leaf_idx)
-        -> std::unique_ptr<net::Switch> {
-      if (leaf_idx >= 0) {
-        net::CongaConfig cc;
-        cc.flowlet_gap = cfg_.flowlet_gap;
-        return std::make_unique<net::CongaLeafSwitch>(sim_, id, std::move(name),
-                                                      cc);
-      }
-      return std::make_unique<net::Switch>(sim_, id, std::move(name));
-    };
-  } else if (cfg_.scheme == Scheme::kLetFlow) {
-    make_switch = [this](net::NodeId id, std::string name, int leaf_idx)
-        -> std::unique_ptr<net::Switch> {
-      if (leaf_idx >= 0) {
-        return std::make_unique<net::LetFlowSwitch>(sim_, id, std::move(name),
-                                                    cfg_.flowlet_gap);
-      }
-      return std::make_unique<net::Switch>(sim_, id, std::move(name));
-    };
-  }
-
-  auto make_host = [this](net::Topology& topo, const std::string& name,
-                          int /*leaf*/) -> net::Node* {
-    return topo.add_host<overlay::Hypervisor>(name, sim_, make_hyp_config(),
-                                              make_policy());
-  };
-
-  fabric_ = net::build_leaf_spine(*topo_, topo_cfg, make_host, make_switch);
-
-  for (net::Node* h : fabric_.hosts_by_leaf[0]) {
-    clients_.push_back(static_cast<overlay::Hypervisor*>(h));
-  }
-  for (net::Node* h : fabric_.hosts_by_leaf[1]) {
-    servers_.push_back(static_cast<overlay::Hypervisor*>(h));
-  }
-
-  // CONGA leaves need the fabric map: uplink ports and host->leaf index.
-  if (cfg_.scheme == Scheme::kConga) {
-    std::unordered_map<net::IpAddr, int> host_leaf;
-    for (std::size_t l = 0; l < fabric_.hosts_by_leaf.size(); ++l) {
-      for (net::Node* h : fabric_.hosts_by_leaf[l]) {
-        host_leaf[h->ip()] = static_cast<int>(l);
-      }
-    }
-    for (std::size_t l = 0; l < fabric_.leaves.size(); ++l) {
-      auto* leaf = dynamic_cast<net::CongaLeafSwitch*>(fabric_.leaves[l]);
-      if (leaf == nullptr) continue;
-      std::vector<int> uplinks;
-      for (int p = 0; p < leaf->port_count(); ++p) {
-        const net::Node* peer = leaf->port(p)->dst();
-        for (const net::Switch* spine : fabric_.spines) {
-          if (peer == spine) {
-            uplinks.push_back(p);
-            break;
-          }
-        }
-      }
-      leaf->configure_fabric(static_cast<int>(l), std::move(uplinks),
-                             host_leaf);
-    }
-  }
-
-  if (cfg_.scheme == Scheme::kPresto && cfg_.asymmetric) {
-    // §5.2: Presto gets "the benefit of doubt" — ideal static weights
-    // reflecting the failed S2-L2 link (S2 paths carry half of S1 paths,
-    // i.e. 1/3,1/3,1/6,1/6 over the four paths).
-    const net::IpAddr s2 =
-        fabric_.spines.size() > 1 ? fabric_.spines[1]->ip() : net::kIpNone;
-    auto weight_fn = [s2](const overlay::PathInfo& path) {
-      for (const overlay::PathHop& hop : path.hops) {
-        if (hop.node == s2) return 1.0;
-      }
-      return 2.0;
-    };
-    for (net::Node* h : topo_->hosts()) {
-      auto* hyp = static_cast<overlay::Hypervisor*>(h);
-      if (auto* presto = dynamic_cast<lb::PrestoPolicy*>(&hyp->policy())) {
-        presto->set_weight_fn(weight_fn);
-      }
-    }
+  if (is_fat_tree()) {
+    build_fat_tree();
+  } else {
+    build_leaf_spine();
   }
 
   // While the flight recorder is on, watch every fabric link's utilization
   // and queue depth so runs can be explained after the fact (the recorder's
   // journeys say *where* packets went; these series say *why* — which egress
   // queues were hot when the policy moved flowlets).
-  if (telemetry::flight_active()) {
-    flight_watch_ = std::make_unique<stats::TimeSeriesSet>(sim_);
-    const sim::Time interval = 1 * sim::kMillisecond;
-    // Parallel links between the same pair share a display name, so suffix
-    // the parallel index to keep CSV columns distinct.
-    auto watch = [&](net::Link* l, std::size_t k) {
-      if (l == nullptr) return;
-      std::string tag = l->name();
-      if (cfg_.topo.links_per_pair > 1) {
-        tag += '#';
-        tag += std::to_string(k);
-      }
-      flight_watch_->add("util:" + tag, [l] { return l->utilization(); },
-                         interval);
-      flight_watch_->add(
-          "queue:" + tag,
-          [l] { return static_cast<double>(l->queue_bytes()); }, interval);
-    };
-    for (auto& leaf_links : fabric_.fabric_links) {
-      for (auto& spine_links : leaf_links) {
-        for (std::size_t k = 0; k < spine_links.size(); ++k) {
-          watch(spine_links[k], k);                    // leaf -> spine
-          watch(topo_->reverse_of(spine_links[k]), k); // spine -> leaf
-        }
-      }
-    }
-    flight_watch_->start_all();
-  }
+  if (telemetry::flight_active()) watch_fabric_links();
 
   if (cfg_.asymmetric) fail_s2_l2_link();
 
@@ -258,6 +194,133 @@ Testbed::Testbed(const ExperimentConfig& cfg) : cfg_(cfg), sim_(cfg.seed) {
   }
 }
 
+void Testbed::build_fat_tree() {
+  net::FatTreeConfig ft;
+  ft.k = cfg_.fat_tree_k;
+  ft.ecn_threshold_pkts = cfg_.ecn_threshold_pkts;
+  ft.int_telemetry = (cfg_.scheme == Scheme::kCloveInt);
+  fat_tree_ = net::build_fat_tree(
+      *topo_, ft, [this](net::Topology& topo, const std::string& name, int) {
+        return make_host(topo, name);
+      });
+  const std::size_t pods = fat_tree_.hosts_by_pod.size();
+  for (std::size_t pod = 0; pod < pods; ++pod) {
+    auto& side = pod < pods / 2 ? clients_ : servers_;
+    for (net::Node* h : fat_tree_.hosts_by_pod[pod]) {
+      side.push_back(static_cast<overlay::Hypervisor*>(h));
+    }
+  }
+}
+
+void Testbed::build_leaf_spine() {
+  net::LeafSpineConfig topo_cfg = cfg_.topo;
+  topo_cfg.ecn_threshold_pkts = cfg_.ecn_threshold_pkts;
+  topo_cfg.int_telemetry = (cfg_.scheme == Scheme::kCloveInt);
+  topo_cfg.conga_metric = (cfg_.scheme == Scheme::kConga);
+
+  // Switch factory: CONGA / LetFlow replace the leaves; spines stay ECMP.
+  std::function<std::unique_ptr<net::Switch>(net::NodeId, std::string, int)>
+      make_switch;
+  if (cfg_.scheme == Scheme::kConga) {
+    make_switch = [this](net::NodeId id, std::string name, int leaf_idx)
+        -> std::unique_ptr<net::Switch> {
+      if (leaf_idx >= 0) {
+        net::CongaConfig cc;
+        cc.flowlet_gap = cfg_.flowlet_gap;
+        return std::make_unique<net::CongaLeafSwitch>(sim_, id, std::move(name),
+                                                      cc);
+      }
+      return std::make_unique<net::Switch>(sim_, id, std::move(name));
+    };
+  } else if (cfg_.scheme == Scheme::kLetFlow) {
+    make_switch = [this](net::NodeId id, std::string name, int leaf_idx)
+        -> std::unique_ptr<net::Switch> {
+      if (leaf_idx >= 0) {
+        return std::make_unique<net::LetFlowSwitch>(sim_, id, std::move(name),
+                                                    cfg_.flowlet_gap);
+      }
+      return std::make_unique<net::Switch>(sim_, id, std::move(name));
+    };
+  }
+
+  fabric_ = net::build_leaf_spine(
+      *topo_, topo_cfg,
+      [this](net::Topology& topo, const std::string& name, int) {
+        return make_host(topo, name);
+      },
+      make_switch);
+
+  for (net::Node* h : fabric_.hosts_by_leaf[0]) {
+    clients_.push_back(static_cast<overlay::Hypervisor*>(h));
+  }
+  for (net::Node* h : fabric_.hosts_by_leaf[1]) {
+    servers_.push_back(static_cast<overlay::Hypervisor*>(h));
+  }
+
+  // CONGA leaves need the fabric map: uplink ports and host->leaf index.
+  if (cfg_.scheme == Scheme::kConga) net::configure_conga_leaves(fabric_);
+
+  if (cfg_.scheme == Scheme::kPresto && cfg_.asymmetric) {
+    // §5.2: Presto gets "the benefit of doubt" — ideal static weights
+    // reflecting the failed S2-L2 link (S2 paths carry half of S1 paths,
+    // i.e. 1/3,1/3,1/6,1/6 over the four paths).
+    const net::IpAddr s2 = fabric_.spines[1]->ip();
+    auto weight_fn = [s2](const overlay::PathInfo& path) {
+      for (const overlay::PathHop& hop : path.hops) {
+        if (hop.node == s2) return 1.0;
+      }
+      return 2.0;
+    };
+    for (net::Node* h : topo_->hosts()) {
+      auto* hyp = static_cast<overlay::Hypervisor*>(h);
+      if (auto* presto = dynamic_cast<lb::PrestoPolicy*>(&hyp->policy())) {
+        presto->set_weight_fn(weight_fn);
+      }
+    }
+  }
+}
+
+void Testbed::watch_fabric_links() {
+  flight_watch_ = std::make_unique<stats::TimeSeriesSet>(sim_);
+  const sim::Time interval = 1 * sim::kMillisecond;
+  // Parallel links between the same pair share a display name, so suffix
+  // the parallel index to keep CSV columns distinct.
+  const bool parallel = !is_fat_tree() && cfg_.topo.links_per_pair > 1;
+  auto watch = [&](net::Link* l, std::size_t k) {
+    std::string tag = l->name();
+    if (parallel) {
+      tag += '#';
+      tag += std::to_string(k);
+    }
+    flight_watch_->add("util:" + tag, [l] { return l->utilization(); },
+                       interval);
+    flight_watch_->add(
+        "queue:" + tag, [l] { return static_cast<double>(l->queue_bytes()); },
+        interval);
+  };
+  // links()[i] and links()[i + 1] are the two directions of one connection,
+  // and parallel connections between a pair are built back to back.
+  auto is_switch = [](const net::Node* n) {
+    return dynamic_cast<const net::Switch*>(n) != nullptr;
+  };
+  const auto& links = topo_->links();
+  const net::Node* prev_src = nullptr;
+  const net::Node* prev_dst = nullptr;
+  std::size_t k = 0;
+  for (std::size_t i = 0; i + 1 < links.size(); i += 2) {
+    net::Link* up = links[i].get();
+    net::Link* down = links[i + 1].get();
+    const net::Node* src = down->dst();
+    if (!is_switch(src) || !is_switch(up->dst())) continue;
+    k = (src == prev_src && up->dst() == prev_dst) ? k + 1 : 0;
+    prev_src = src;
+    prev_dst = up->dst();
+    watch(up, k);
+    watch(down, k);
+  }
+  flight_watch_->start_all();
+}
+
 void Testbed::start_discovery() {
   std::vector<net::IpAddr> server_ips;
   std::vector<net::IpAddr> client_ips;
@@ -271,15 +334,48 @@ void Testbed::start_discovery() {
   }
 }
 
-void Testbed::fail_s2_l2_link() {
+double Testbed::bisection_bytes_per_sec() const {
+  if (is_fat_tree()) {
+    return sim::gbps_to_bytes_per_sec(fat_tree_.cfg.host_gbps) *
+           static_cast<double>(clients_.size());
+  }
+  const net::LeafSpineConfig& t = cfg_.topo;
+  const double fabric_cut = sim::gbps_to_bytes_per_sec(t.fabric_gbps) *
+                            t.n_spines * t.links_per_pair;
+  const double access_total =
+      sim::gbps_to_bytes_per_sec(t.host_gbps) * t.hosts_per_leaf;
+  return std::min(fabric_cut, access_total);
+}
+
+workload::ClientServerConfig Testbed::workload_config(
+    workload::ClientServerConfig wl) const {
+  wl = with_run_transport(std::move(wl), cfg_);
+  if (!wl.seed) wl.seed = cfg_.seed * 977 + 3;
+  wl.bisection_bytes_per_sec = bisection_bytes_per_sec();
+  return wl;
+}
+
+workload::IncastConfig Testbed::workload_config(
+    workload::IncastConfig wl) const {
+  return with_run_transport(std::move(wl), cfg_);
+}
+
+net::Link* Testbed::s2_l2_link() {
   // Spine S2 (index 1) to leaf L2 (index 1), first parallel link — the
   // failure the paper injects for every asymmetric experiment.
-  net::Link* l = fabric_.fabric_links[1][1][0];
+  if (fabric_.spines.size() < 2) {
+    throw std::invalid_argument("fabric has no S2-L2 link");
+  }
+  return fabric_.fabric_links[1][1][0];
+}
+
+void Testbed::fail_s2_l2_link() {
+  net::Link* l = s2_l2_link();
   if (!l->is_down()) topo_->fail_connection(l);
 }
 
 void Testbed::restore_s2_l2_link() {
-  net::Link* l = fabric_.fabric_links[1][1][0];
+  net::Link* l = s2_l2_link();
   if (l->is_down()) topo_->restore_connection(l);
 }
 
@@ -300,38 +396,17 @@ std::uint64_t Testbed::total_ecn_marks() const {
 // ---------------------------------------------------------------------------
 
 ExperimentResult run_fct_experiment(const ExperimentConfig& cfg,
-                                    const workload::ClientServerConfig& wl_in) {
+                                    const workload::ClientServerConfig& wl) {
   // Scope the telemetry registry/trace to this run so snapshots are per-run
   // counters, not process-lifetime accumulations.
   telemetry::hub().begin_run();
   Testbed tb(cfg);
   tb.start_discovery();
 
-  workload::ClientServerConfig wl = wl_in;
-  wl.tcp = cfg.tcp;
-  wl.mptcp = cfg.mptcp;
-  wl.use_mptcp = (cfg.scheme == Scheme::kMptcp);
-  wl.start_time = cfg.traffic_start;
-  wl.seed = wl_in.seed == 42 ? cfg.seed * 977 + 3 : wl_in.seed;
-  // Offered load is relative to the deliverable bisection: the fabric cut or
-  // the clients' aggregate access bandwidth, whichever is smaller (equal, at
-  // 160G, in the paper's topology).
-  const double fabric_bisection =
-      sim::gbps_to_bytes_per_sec(cfg.topo.fabric_gbps) * cfg.topo.n_spines *
-      cfg.topo.links_per_pair;
-  const double access_total =
-      sim::gbps_to_bytes_per_sec(cfg.topo.host_gbps) * cfg.topo.hosts_per_leaf;
-  wl.bisection_bytes_per_sec = std::min(fabric_bisection, access_total);
-
-  workload::ClientServerWorkload ws(tb.simulator(), wl, tb.clients(),
-                                    tb.servers());
-  bool done = false;
-  ws.start([&] {
-    done = true;
-    tb.simulator().stop();
-  });
+  workload::ClientServerWorkload ws(tb.simulator(), tb.workload_config(wl),
+                                    tb.clients(), tb.servers());
+  ws.start([&] { tb.simulator().stop(); });
   tb.simulator().run(cfg.max_sim_time);
-  (void)done;
 
   ExperimentResult r;
   r.jobs = ws.jobs_done();
@@ -348,6 +423,7 @@ ExperimentResult run_fct_experiment(const ExperimentConfig& cfg,
   r.events = tb.simulator().events_processed();
   r.queue_hwm = tb.simulator().queue_high_water();
   r.fct = std::make_shared<stats::FctRecorder>(std::move(ws.fct()));
+  if (tb.hybrid() != nullptr) r.hybrid = tb.hybrid()->stats();
 
   // Fold this run's engine gauges into the installed profiler (one cold pass
   // per experiment; the parallel runner later merges per-task profilers).
@@ -367,52 +443,46 @@ ExperimentResult run_fct_experiment(const ExperimentConfig& cfg,
     CLOVE_PROF_SCOPE(prof::kTelemetry);
     r.metrics = telemetry::hub().metrics().snapshot();
   }
-  if (auto* fr = telemetry::flight()) {
-    // Summarize (this runs the conservation audit) and, when the artifact
-    // sink is on, dump the raw provenance next to the bench JSON so
-    // scripts/trace_summarize.py can explain the run.
-    CLOVE_PROF_SCOPE(prof::kFlight);
-    r.flight = fr->summary(tb.simulator().now());
-    const std::string dir = telemetry::json_out_dir();
-    if (!dir.empty()) {
-      const std::string tag = scheme_name(cfg.scheme);
-      telemetry::Json doc = r.flight.to_json();
-      doc.set("scheme", telemetry::Json(tag));
-      telemetry::Json path_names = telemetry::Json::object();
-      for (const telemetry::PathUsage& pu : r.flight.paths) {
-        path_names.set(std::to_string(pu.via),
-                       telemetry::Json(fr->node_name(pu.via)));
-      }
-      doc.set("node_names", std::move(path_names));
-      telemetry::write_json_artifact(dir, "FLIGHT_" + tag, doc);
-      telemetry::write_text_artifact(dir, "flight_" + tag + "_journeys.jsonl",
-                                     fr->journeys_jsonl());
-      telemetry::write_text_artifact(dir, "flight_" + tag + "_flows.jsonl",
-                                     fr->flows_jsonl());
-      if (tb.flight_watch() != nullptr) {
-        telemetry::write_text_artifact(dir, "flight_" + tag + "_timeseries.csv",
-                                       tb.flight_watch()->to_csv());
-      }
-    }
-  }
+  r.flight = export_flight(tb, scheme_name(cfg.scheme));
   return r;
 }
 
+telemetry::FlightSummary export_flight(Testbed& tb, const std::string& stem) {
+  telemetry::FlightRecorder* fr = telemetry::flight();
+  if (fr == nullptr) return {};
+  CLOVE_PROF_SCOPE(prof::kFlight);
+  telemetry::FlightSummary fs = fr->summary(tb.simulator().now());
+  const std::string dir = telemetry::json_out_dir();
+  if (dir.empty()) return fs;
+  telemetry::Json doc = fs.to_json();
+  doc.set("scheme", telemetry::Json(stem));
+  telemetry::Json path_names = telemetry::Json::object();
+  for (const telemetry::PathUsage& pu : fs.paths) {
+    path_names.set(std::to_string(pu.via),
+                   telemetry::Json(fr->node_name(pu.via)));
+  }
+  doc.set("node_names", std::move(path_names));
+  telemetry::write_json_artifact(dir, "FLIGHT_" + stem, doc);
+  telemetry::write_text_artifact(dir, "flight_" + stem + "_journeys.jsonl",
+                                 fr->journeys_jsonl());
+  telemetry::write_text_artifact(dir, "flight_" + stem + "_flows.jsonl",
+                                 fr->flows_jsonl());
+  if (tb.flight_watch() != nullptr) {
+    telemetry::write_text_artifact(dir, "flight_" + stem + "_timeseries.csv",
+                                   tb.flight_watch()->to_csv());
+  }
+  return fs;
+}
+
 double run_incast_experiment(const ExperimentConfig& cfg,
-                             const workload::IncastConfig& wl_in) {
+                             const workload::IncastConfig& wl) {
   telemetry::hub().begin_run();
   Testbed tb(cfg);
   tb.start_discovery();
 
-  workload::IncastConfig wl = wl_in;
-  wl.tcp = cfg.tcp;
-  wl.mptcp = cfg.mptcp;
-  wl.use_mptcp = (cfg.scheme == Scheme::kMptcp);
-  wl.start_time = cfg.traffic_start;
-
   // One client on leaf 1; responders are the leaf-2 servers.
-  workload::IncastWorkload incast(tb.simulator(), wl, tb.clients()[0],
-                                  tb.servers());
+  workload::IncastWorkload incast(tb.simulator(), tb.workload_config(wl),
+                                  tb.clients()[0], tb.servers());
   incast.start([&] { tb.simulator().stop(); });
   tb.simulator().run(cfg.max_sim_time);
   return incast.goodput_gbps();

@@ -6,6 +6,7 @@
 
 #include "fault/fault.hpp"
 #include "hybrid/hybrid.hpp"
+#include "net/fat_tree.hpp"
 #include "net/topology.hpp"
 #include "overlay/hypervisor.hpp"
 #include "stats/stats.hpp"
@@ -40,6 +41,10 @@ struct ExperimentConfig {
   std::uint64_t seed{1};
 
   net::LeafSpineConfig topo{};
+  /// Arity of a k-ary fat-tree fabric (§3.1 "any topology"); 0 builds the
+  /// `topo` leaf-spine instead. A fat-tree takes its link rates and queues
+  /// from net::FatTreeConfig and rejects CONGA, LetFlow and `asymmetric`.
+  int fat_tree_k{0};
 
   // Clove parameters (§3.2/§4; swept by Fig. 6 and the A2 ablation).
   sim::Time flowlet_gap{100 * sim::kMicrosecond};
@@ -109,27 +114,59 @@ struct ExperimentResult {
   /// Flight-recorder digest (mode kOff when CLOVE_FLIGHT_RECORDER is unset):
   /// journey/provenance counts, per-path usage, audit verdicts.
   telemetry::FlightSummary flight;
+  /// Hybrid engine counters (all zero when cfg.hybrid.enabled is off).
+  hybrid::HybridStats hybrid;
 };
 
 /// A fully-built testbed ready to run: topology, hosts, workload hooks.
 /// Exposed so examples/tests can compose custom scenarios; the one-call
 /// entry points below cover the paper's experiments.
+///
+/// The fabric is the `cfg.topo` leaf-spine (clients on leaf 1, servers on
+/// leaf 2) or, when cfg.fat_tree_k > 0, a k-ary fat-tree (clients in the
+/// lower half of the pods, servers in the upper half, so every job crosses
+/// the core). Hosts, policies, hybrid, faults and discovery are built the
+/// same way on either.
 class Testbed {
  public:
-  Testbed(const ExperimentConfig& cfg);
+  /// Throws std::invalid_argument for a config the fabric cannot run: a
+  /// leaf-spine with fewer than two leaves or without spines, links or
+  /// hosts, an `asymmetric` one without a second spine, an odd or negative
+  /// fat-tree arity, or CONGA / LetFlow / `asymmetric` on a fat-tree.
+  explicit Testbed(const ExperimentConfig& cfg);
 
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] net::Topology& topology() { return *topo_; }
+  [[nodiscard]] bool is_fat_tree() const { return cfg_.fat_tree_k > 0; }
+  /// The leaf-spine fabric (empty on a fat-tree).
   [[nodiscard]] net::LeafSpine& fabric() { return fabric_; }
+  /// The fat-tree fabric (empty on a leaf-spine).
+  [[nodiscard]] net::FatTree& fat_tree() { return fat_tree_; }
   [[nodiscard]] std::vector<overlay::Hypervisor*>& clients() { return clients_; }
   [[nodiscard]] std::vector<overlay::Hypervisor*>& servers() { return servers_; }
   [[nodiscard]] const ExperimentConfig& config() const { return cfg_; }
+
+  /// The cut offered load is priced against: the smaller of the fabric cut
+  /// and the clients' aggregate access bandwidth on a leaf-spine (equal, at
+  /// 160G, in the paper's topology); the clients' access on a fat-tree,
+  /// which is full-bisection.
+  [[nodiscard]] double bisection_bytes_per_sec() const;
+
+  /// `wl` as this testbed runs it: the config's guest transport, MPTCP
+  /// choice and traffic start, plus (client-server only) the bisection and,
+  /// when `wl.seed` is unset, the seed `cfg.seed * 977 + 3`.
+  [[nodiscard]] workload::ClientServerConfig workload_config(
+      workload::ClientServerConfig wl) const;
+  [[nodiscard]] workload::IncastConfig workload_config(
+      workload::IncastConfig wl) const;
 
   /// Kick off path discovery between all client/server pairs (no-op for
   /// schemes that do not need it).
   void start_discovery();
 
-  /// Fail the S2-L2 link the paper disables (idempotent).
+  /// Fail the S2-L2 link the paper disables (idempotent). Both throw
+  /// std::invalid_argument on a fabric without one (a fat-tree, or a
+  /// leaf-spine with a single spine).
   void fail_s2_l2_link();
   void restore_s2_l2_link();
 
@@ -155,11 +192,17 @@ class Testbed {
  private:
   std::unique_ptr<lb::Policy> make_policy();
   overlay::HypervisorConfig make_hyp_config();
+  net::Node* make_host(net::Topology& topo, const std::string& name);
+  void build_leaf_spine();
+  void build_fat_tree();
+  void watch_fabric_links();
+  net::Link* s2_l2_link();
 
   ExperimentConfig cfg_;
   sim::Simulator sim_;
   std::unique_ptr<net::Topology> topo_;
   net::LeafSpine fabric_;
+  net::FatTree fat_tree_;
   std::vector<overlay::Hypervisor*> clients_;
   std::vector<overlay::Hypervisor*> servers_;
   std::unique_ptr<stats::TimeSeriesSet> flight_watch_;
@@ -168,8 +211,18 @@ class Testbed {
 };
 
 /// Run the §5/§6 client-server FCT workload for one (scheme, load) point.
+/// `wl` passes through Testbed::workload_config, so an explicit `wl.seed`
+/// is honoured and an unset one derives from `cfg.seed`.
 ExperimentResult run_fct_experiment(const ExperimentConfig& cfg,
                                     const workload::ClientServerConfig& wl);
+
+/// Summarize the flight recorder of `tb`'s run (this runs the conservation
+/// audit) and, when CLOVE_JSON_OUT is set, export it next to the bench JSON
+/// for scripts/trace_summarize.py: FLIGHT_<stem>.json plus
+/// flight_<stem>_{journeys,flows}.jsonl and, when the fabric links were
+/// watched, flight_<stem>_timeseries.csv. Returns an empty summary when no
+/// recorder is installed.
+telemetry::FlightSummary export_flight(Testbed& tb, const std::string& stem);
 
 /// Run the §5.3 incast workload; returns achieved goodput in Gb/s.
 double run_incast_experiment(const ExperimentConfig& cfg,

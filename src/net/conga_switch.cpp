@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "net/topology.hpp"
 #include "telemetry/hub.hpp"
 
 namespace clove::net {
@@ -142,6 +143,28 @@ void CongaLeafSwitch::on_forward(Packet& pkt, int egress_port, int in_port) {
       pkt.conga.fb_tag = rr;
       pkt.conga.fb_ce = congestion_from(dst_leaf, rr);
     }
+  }
+}
+
+void configure_conga_leaves(const LeafSpine& fabric) {
+  std::unordered_map<IpAddr, int> host_leaf;
+  for (std::size_t l = 0; l < fabric.hosts_by_leaf.size(); ++l) {
+    for (const Node* h : fabric.hosts_by_leaf[l]) {
+      host_leaf[h->ip()] = static_cast<int>(l);
+    }
+  }
+  for (std::size_t l = 0; l < fabric.leaves.size(); ++l) {
+    auto* leaf = dynamic_cast<CongaLeafSwitch*>(fabric.leaves[l]);
+    if (leaf == nullptr) continue;
+    std::vector<int> uplinks;
+    for (int p = 0; p < leaf->port_count(); ++p) {
+      const Node* peer = leaf->port(p)->dst();
+      if (std::find(fabric.spines.begin(), fabric.spines.end(), peer) !=
+          fabric.spines.end()) {
+        uplinks.push_back(p);
+      }
+    }
+    leaf->configure_fabric(static_cast<int>(l), std::move(uplinks), host_leaf);
   }
 }
 

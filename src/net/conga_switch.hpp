@@ -11,6 +11,8 @@
 
 namespace clove::net {
 
+struct LeafSpine;
+
 /// Configuration for the CONGA leaf behaviour.
 struct CongaConfig {
   sim::Time flowlet_gap{200 * sim::kMicrosecond};
@@ -93,5 +95,10 @@ class CongaLeafSwitch : public Switch {
   std::vector<std::uint8_t> fb_rr_;  ///< feedback round-robin, by dst leaf
   sim::Rng rng_;
 };
+
+/// Hand every CongaLeafSwitch leaf of a built leaf-spine its fabric map
+/// (CongaLeafSwitch::configure_fabric): its leaf index, its spine-facing
+/// uplink ports and the leaf of every host. Other leaves are left alone.
+void configure_conga_leaves(const LeafSpine& fabric);
 
 }  // namespace clove::net

@@ -18,7 +18,7 @@ ClientServerWorkload::ClientServerWorkload(
       cfg_(cfg),
       clients_(std::move(clients)),
       servers_(std::move(servers)),
-      rng_(cfg.seed) {}
+      rng_(cfg.seed.value_or(42)) {}
 
 void ClientServerWorkload::start(std::function<void()> on_complete) {
   on_complete_ = std::move(on_complete);

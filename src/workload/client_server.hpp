@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "overlay/hypervisor.hpp"
@@ -39,7 +40,9 @@ struct ClientServerConfig {
   double bisection_bytes_per_sec{sim::gbps_to_bytes_per_sec(160.0)};
   FlowSizeDistribution sizes{FlowSizeDistribution::web_search()};
   sim::Time start_time{50 * sim::kMillisecond};
-  std::uint64_t seed{42};
+  /// Arrival/size RNG seed. Unset means "derive it": ClientServerWorkload
+  /// uses 42, harness::Testbed::workload_config derives it from the run seed.
+  std::optional<std::uint64_t> seed;
   bool use_mptcp{false};
   transport::TcpConfig tcp{};
   transport::MptcpConfig mptcp{};

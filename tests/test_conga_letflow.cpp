@@ -40,22 +40,9 @@ class CongaFixture : public ::testing::Test {
           return std::make_unique<Switch>(sim, id, std::move(name));
         });
 
-    std::unordered_map<IpAddr, int> host_leaf;
-    for (std::size_t l = 0; l < fabric.hosts_by_leaf.size(); ++l) {
-      for (Node* h : fabric.hosts_by_leaf[l]) {
-        host_leaf[h->ip()] = static_cast<int>(l);
-      }
-    }
-    for (std::size_t l = 0; l < fabric.leaves.size(); ++l) {
-      auto* leaf = static_cast<CongaLeafSwitch*>(fabric.leaves[l]);
-      std::vector<int> ups;
-      for (int p = 0; p < leaf->port_count(); ++p) {
-        for (Switch* spine : fabric.spines) {
-          if (leaf->port(p)->dst() == spine) ups.push_back(p);
-        }
-      }
-      leaf->configure_fabric(static_cast<int>(l), ups, host_leaf);
-      leaves.push_back(leaf);
+    configure_conga_leaves(fabric);
+    for (Switch* leaf : fabric.leaves) {
+      leaves.push_back(static_cast<CongaLeafSwitch*>(leaf));
     }
     src = static_cast<SinkNode*>(fabric.hosts_by_leaf[0][0]);
     dst = static_cast<SinkNode*>(fabric.hosts_by_leaf[1][0]);
