@@ -52,13 +52,13 @@ struct SweepResult {
   std::uint64_t events{0};            ///< simulator events, summed over seeds
   std::uint64_t queue_hwm{0};         ///< event-queue high water, max over seeds
   std::shared_ptr<stats::FctRecorder> fct;  ///< from the last seed
-  /// Registry snapshot from the last seed (only when the hub is enabled).
+  /// Metrics snapshot from the last seed (only when telemetry is enabled).
   telemetry::MetricsSnapshot metrics;
 };
 
 /// Collects every point a bench sweeps and, when CLOVE_JSON_OUT is set,
-/// writes `<dir>/<bench>.json` on destruction. Constructing one enables the
-/// telemetry hub when artifacts are requested, so snapshots carry data.
+/// writes `<dir>/<bench>.json` on destruction. Constructing one enables
+/// telemetry when artifacts are requested, so snapshots carry data.
 /// run_point() records into the current (most recent) instance.
 class Artifact {
  public:
@@ -79,7 +79,7 @@ class Artifact {
     // Artifacts without telemetry would carry all-zero counters; requesting
     // JSON output implies wanting the instrumented values.
     if (!telemetry::json_out_dir().empty()) {
-      telemetry::hub().set_enabled(true);
+      telemetry::current_scope().set_enabled(true);
     }
     current_ = this;
   }
@@ -183,8 +183,8 @@ class Artifact {
   }
 
  private:
-  /// Fabric-wide aggregates of the registry snapshot: compact enough to
-  /// embed per point, detailed enough to cross-check the legacy counters.
+  /// Fabric-wide aggregates of the metrics snapshot, compact enough to
+  /// embed per point.
   static telemetry::Json metrics_digest(const telemetry::MetricsSnapshot& m) {
     telemetry::Json d = telemetry::Json::object();
     auto put_sum = [&](const char* key, const char* metric) {

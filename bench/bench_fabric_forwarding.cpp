@@ -307,7 +307,7 @@ int main() {
                            "fabric forwarding perf baseline (macro)", scale);
   // Telemetry counters would price the instrumentation, not the datapath;
   // the figure benches measure that separately.
-  telemetry::hub().set_enabled(false);
+  telemetry::current_scope().set_enabled(false);
 
   const int rounds = rounds_from_env();
   std::printf("== fabric forwarding macro-bench ==\n");

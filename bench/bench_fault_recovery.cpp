@@ -82,7 +82,7 @@ std::string scheme_key(harness::Scheme s) {
 }
 
 SchemeOutcome run_scheme(harness::Scheme scheme, int jobs_per_conn) {
-  telemetry::hub().begin_run();
+  telemetry::current_scope().begin_run();
 
   harness::ExperimentConfig cfg = harness::make_testbed_profile();
   cfg.scheme = scheme;

@@ -234,7 +234,7 @@ int main() {
   // rate leg-dependent in CI's matrix; the per-topology scale_k*.events_per_sec
   // rows are the throughput guard for this bench.
   artifact.set_mirror_engine_rate(false);
-  telemetry::hub().set_enabled(false);
+  telemetry::current_scope().set_enabled(false);
 
   const int rounds = rounds_from_env();
   std::printf("== engine scale observatory ==\n");

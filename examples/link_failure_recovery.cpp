@@ -53,9 +53,9 @@ int main() {
   // Capture the decisions that tell the recovery story: WRR weight updates,
   // topology changes and TCP loss recovery. (Feedback/flowlet events run to
   // millions here and would evict the interesting window from the ring.)
-  telemetry::hub().set_enabled(true);
-  telemetry::hub().trace().set_capacity(1u << 18);
-  telemetry::hub().trace().set_filter(
+  telemetry::current_scope().set_enabled(true);
+  telemetry::current_scope().trace().set_capacity(1u << 18);
+  telemetry::current_scope().trace().set_filter(
       static_cast<unsigned>(telemetry::Category::kWeight) |
       static_cast<unsigned>(telemetry::Category::kTopology) |
       static_cast<unsigned>(telemetry::Category::kTcp));
@@ -67,7 +67,7 @@ int main() {
   fc.sample_every = 4;
   fc.usage_bucket = 100 * sim::kMillisecond;
   telemetry::current_scope().set_flight_config(fc);
-  telemetry::hub().begin_run();
+  telemetry::current_scope().begin_run();
 
   harness::Testbed tb(cfg);
   tb.start_discovery();
@@ -218,7 +218,7 @@ int main() {
   // per-packet path provenance instead of policy internals — per-spine
   // byte/flowlet shares per 100ms bucket, then the invariant audits.
   // -------------------------------------------------------------------
-  const telemetry::TraceLog& ring = telemetry::hub().trace();
+  const telemetry::TraceLog& ring = telemetry::current_scope().trace();
   std::printf("\ntrace ring: %llu events captured (%llu recorded, %llu "
               "overwritten)\n",
               static_cast<unsigned long long>(ring.size()),

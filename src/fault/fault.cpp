@@ -178,11 +178,7 @@ FaultPlan FaultPlan::from_env(std::string* error) {
 // ---------------------------------------------------------------------------
 
 FaultInjector::FaultInjector(net::Topology& topo, FaultPlan plan)
-    : topo_(topo), plan_(std::move(plan)) {
-  auto& reg = telemetry::hub().metrics();
-  applied_cell_ = reg.counter("clove.fault.events_applied");
-  recompute_cell_ = reg.counter("clove.fault.route_recomputes");
-}
+    : topo_(topo), plan_(std::move(plan)) {}
 
 void FaultInjector::arm() {
   sim::Simulator& sim = topo_.simulator();
@@ -262,7 +258,6 @@ void FaultInjector::apply(const FaultEvent& ev) {
     return;
   }
   ++stats_.events_applied;
-  if (telemetry::enabled()) applied_cell_->add();
   if (telemetry::tracing()) {
     telemetry::trace(telemetry::Category::kFault, now, ev.target,
                      std::string("fault.") + fault_kind_name(ev.kind), "",
@@ -336,13 +331,11 @@ void FaultInjector::schedule_convergence() {
   if (plan_.route_convergence <= 0) {
     topo_.compute_routes();
     ++stats_.route_recomputes;
-    if (telemetry::enabled()) recompute_cell_->add();
     return;
   }
   auto recompute = [this] {
     topo_.compute_routes();
     ++stats_.route_recomputes;
-    if (telemetry::enabled()) recompute_cell_->add();
   };
   if (net::ShardDomain* dom = topo_.shard_domain()) {
     // Route recomputes read and write switch tables in every shard, so they

@@ -8,7 +8,6 @@
 #include "sim/random.hpp"
 #include "sim/time.hpp"
 #include "telemetry/json.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace clove::fault {
 
@@ -118,8 +117,6 @@ class FaultInjector {
   net::Topology& topo_;
   FaultPlan plan_;
   FaultInjectorStats stats_;
-  telemetry::Counter* applied_cell_{nullptr};
-  telemetry::Counter* recompute_cell_{nullptr};
 };
 
 }  // namespace clove::fault

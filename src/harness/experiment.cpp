@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <stdexcept>
+#include <utility>
 
 #include "lb/clove_ecn.hpp"
 #include "lb/clove_int.hpp"
@@ -16,7 +18,6 @@
 #include "prof/prof.hpp"
 #include "sim/logging.hpp"
 #include "telemetry/artifact.hpp"
-#include "telemetry/hub.hpp"
 #include "telemetry/scope.hpp"
 
 namespace clove::harness {
@@ -392,14 +393,114 @@ std::uint64_t Testbed::total_ecn_marks() const {
 }
 
 // ---------------------------------------------------------------------------
+// Metrics snapshot
+// ---------------------------------------------------------------------------
+
+telemetry::MetricsSnapshot collect_metrics(const MetricSources& src) {
+  using telemetry::Labels;
+  using telemetry::MetricKind;
+  using telemetry::MetricSample;
+  std::map<std::pair<std::string, Labels>, MetricSample> rows;
+  auto row = [&rows](const char* name, const Labels& labels,
+                     MetricKind kind) -> MetricSample& {
+    auto [it, fresh] = rows.try_emplace({name, labels});
+    if (fresh) {
+      it->second.name = name;
+      it->second.labels = labels;
+      it->second.kind = kind;
+    }
+    return it->second;
+  };
+  auto count = [&row](const char* name, const Labels& labels,
+                      std::uint64_t v) {
+    row(name, labels, MetricKind::kCounter).value += static_cast<double>(v);
+  };
+
+  if (src.topology != nullptr) {
+    for (const auto& l : src.topology->links()) {
+      const Labels labels{{"link", l->name()}};
+      const net::LinkStats& s = l->stats();
+      count("link.tx_packets", labels, s.tx_packets);
+      count("link.tx_bytes", labels, s.tx_bytes);
+      count("link.drops_overflow", labels, s.drops_overflow);
+      count("link.drops_down", labels, s.drops_down);
+      count("link.drops_fault", labels, s.drops_fault);
+      count("link.ecn_marks", labels, s.ecn_marks);
+      MetricSample& hwm =
+          row("link.queue_high_watermark_bytes", labels, MetricKind::kGauge);
+      hwm.value = std::max(hwm.value, static_cast<double>(s.max_queue_bytes));
+    }
+    for (const net::Switch* sw : src.topology->switches()) {
+      const Labels labels{{"switch", sw->name()}};
+      const net::SwitchStats& s = sw->stats();
+      count("switch.forwarded", labels, s.forwarded);
+      count("switch.no_route_drops", labels, s.no_route_drops);
+      count("switch.ttl_drops", labels, s.ttl_drops);
+    }
+    for (net::Node* node : src.topology->hosts()) {
+      auto* hyp = dynamic_cast<overlay::Hypervisor*>(node);
+      if (hyp == nullptr) continue;
+      const Labels labels{{"host", hyp->name()},
+                          {"scheme", hyp->policy().name()}};
+      const overlay::HypervisorStats& s = hyp->stats();
+      count("hyp.encapped", labels, s.encapped);
+      count("hyp.decapped", labels, s.decapped);
+      count("hyp.ce_intercepted", labels, s.ce_intercepted);
+      count("hyp.feedback_attached", labels, s.feedback_attached);
+      count("hyp.feedback_received", labels, s.feedback_received);
+      count("hyp.forged_ece", labels, s.forged_ece);
+      if (const overlay::PathHealthMonitor* ph = hyp->path_health()) {
+        const Labels host{{"host", hyp->name()}};
+        const overlay::PathHealthMonitor::Stats& p = ph->stats();
+        count("clove.pathset.keepalives", host, p.keepalives_sent);
+        count("clove.pathset.keepalive_acks", host, p.keepalive_acks);
+        count("clove.pathset.suspects", host, p.suspects);
+        count("clove.pathset.evictions", host, p.evictions);
+        count("clove.pathset.readmissions", host, p.readmissions);
+      }
+    }
+  }
+  if (src.faults != nullptr) {
+    const fault::FaultInjectorStats& s = src.faults->stats();
+    count("clove.fault.events_applied", {},
+          static_cast<std::uint64_t>(s.events_applied));
+    count("clove.fault.route_recomputes", {},
+          static_cast<std::uint64_t>(s.route_recomputes));
+  }
+  if (src.flight != nullptr) {
+    const telemetry::AuditCounts& a = src.flight->audit();
+    count("clove.audit.conservation", {}, a.conservation);
+    count("clove.audit.flowlet_reorder", {}, a.flowlet_reorder);
+    count("clove.audit.vm_reorder", {}, a.vm_reorder);
+    count("clove.audit.ecn_mask", {}, a.ecn_mask);
+  }
+  if (src.transport != nullptr) {
+    count("tcp.timeouts", {}, src.transport->timeouts);
+    count("tcp.fast_retransmits", {}, src.transport->fast_retransmits);
+    count("tcp.ecn_reductions", {}, src.transport->ecn_reductions);
+  }
+  if (src.registry != nullptr) {
+    const telemetry::MetricsSnapshot pushed = src.registry->snapshot();
+    for (const MetricSample& s : pushed.samples) {
+      if (s.kind == MetricKind::kHistogram) rows[{s.name, s.labels}] = s;
+    }
+  }
+
+  telemetry::MetricsSnapshot snap;
+  snap.samples.reserve(rows.size());
+  for (auto& [key, s] : rows) snap.samples.push_back(std::move(s));
+  return snap;
+}
+
+// ---------------------------------------------------------------------------
 // One-call experiment runners
 // ---------------------------------------------------------------------------
 
 ExperimentResult run_fct_experiment(const ExperimentConfig& cfg,
                                     const workload::ClientServerConfig& wl) {
-  // Scope the telemetry registry/trace to this run so snapshots are per-run
-  // counters, not process-lifetime accumulations.
-  telemetry::hub().begin_run();
+  // Zero the scope's histograms and clear its trace ring and flight recorder
+  // so they describe this run only.
+  telemetry::current_scope().begin_run();
   Testbed tb(cfg);
   tb.start_discovery();
 
@@ -438,10 +539,15 @@ ExperimentResult run_fct_experiment(const ExperimentConfig& cfg,
   }
 
   if (telemetry::enabled()) {
-    // The snapshot walks every registered metric cell: attribute it to the
+    // Collecting walks every link, switch and host: attribute it to the
     // telemetry scope so observability overhead shows up in the profile.
     CLOVE_PROF_SCOPE(prof::kTelemetry);
-    r.metrics = telemetry::hub().metrics().snapshot();
+    r.metrics = collect_metrics(
+        {.topology = &tb.topology(),
+         .faults = tb.fault_injector(),
+         .flight = telemetry::flight(),
+         .transport = &t,
+         .registry = &telemetry::current_scope().metrics()});
   }
   r.flight = export_flight(tb, scheme_name(cfg.scheme));
   return r;
@@ -476,7 +582,7 @@ telemetry::FlightSummary export_flight(Testbed& tb, const std::string& stem) {
 
 double run_incast_experiment(const ExperimentConfig& cfg,
                              const workload::IncastConfig& wl) {
-  telemetry::hub().begin_run();
+  telemetry::current_scope().begin_run();
   Testbed tb(cfg);
   tb.start_discovery();
 

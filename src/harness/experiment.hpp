@@ -108,8 +108,8 @@ struct ExperimentResult {
   std::uint64_t queue_hwm{0};
   /// Raw recorder for CDFs (Fig. 9) — populated from the last seed run.
   std::shared_ptr<stats::FctRecorder> fct;
-  /// Telemetry registry snapshot taken at run end (empty values when the
-  /// telemetry hub is disabled; see CLOVE_TELEMETRY).
+  /// Metrics collected at run end (see collect_metrics); empty when
+  /// telemetry is disabled (see CLOVE_TELEMETRY).
   telemetry::MetricsSnapshot metrics;
   /// Flight-recorder digest (mode kOff when CLOVE_FLIGHT_RECORDER is unset):
   /// journey/provenance counts, per-path usage, audit verdicts.
@@ -209,6 +209,31 @@ class Testbed {
   std::unique_ptr<fault::FaultInjector> injector_;
   std::unique_ptr<hybrid::Engine> hybrid_;
 };
+
+/// What collect_metrics reads. A null source emits no metric family.
+struct MetricSources {
+  const net::Topology* topology{nullptr};
+  const fault::FaultInjector* faults{nullptr};
+  const telemetry::FlightRecorder* flight{nullptr};
+  const transport::TcpSenderStats* transport{nullptr};
+  /// Pushed histograms (tcp.rtt_us); the registry's counters are ignored.
+  const telemetry::MetricsRegistry* registry{nullptr};
+};
+
+/// A run's metrics snapshot, read from the components' own stats when it is
+/// taken — the one place that knows metric names and labels:
+///   link.*   per link, {link}: LinkStats (queue_high_watermark_bytes is a
+///            gauge; the rest are counters)
+///   switch.* per switch, {switch}: SwitchStats
+///   hyp.*    per hypervisor host, {host, scheme}: HypervisorStats
+///   clove.pathset.* per host running a path-health monitor, {host}
+///   clove.fault.*, clove.audit.*, tcp.*: the injector's, the flight
+///            recorder's and the transport totals, unlabeled
+/// plus the registry's histograms. Rows with the same name and labels merge
+/// (parallel leaf-spine links share a display name): counters sum, gauges
+/// keep the max. Samples are sorted by (name, labels).
+[[nodiscard]] telemetry::MetricsSnapshot collect_metrics(
+    const MetricSources& src);
 
 /// Run the §5/§6 client-server FCT workload for one (scheme, load) point.
 /// `wl` passes through Testbed::workload_config, so an explicit `wl.seed`

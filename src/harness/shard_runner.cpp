@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <map>
 
+#include "harness/experiment.hpp"
 #include "harness/parallel_runner.hpp"
 #include "net/packet_pool.hpp"
 
@@ -181,7 +182,8 @@ void ShardRunner::run_shard(int s, sim::Time until_inclusive) {
   }
 }
 
-std::string ShardRunner::metrics_digest() {
+std::string ShardRunner::metrics_digest(const net::Topology& topo,
+                                        const fault::FaultInjector* faults) {
   struct Fold {
     telemetry::MetricKind kind{telemetry::MetricKind::kCounter};
     double value{0.0};
@@ -190,8 +192,14 @@ std::string ShardRunner::metrics_digest() {
   };
   std::map<std::string, Fold> fold;
   for (int s = 0; s < n_; ++s) {
-    const telemetry::MetricsSnapshot snap =
-        scope_of_[static_cast<std::size_t>(s)]->metrics().snapshot();
+    // The fabric and the injector span every shard, so they are read once;
+    // each shard scope adds its own histograms and flight-recorder audits.
+    telemetry::Scope& scope = *scope_of_[static_cast<std::size_t>(s)];
+    const telemetry::MetricsSnapshot snap = collect_metrics(
+        {.topology = s == 0 ? &topo : nullptr,
+         .faults = s == 0 ? faults : nullptr,
+         .flight = scope.flight_recorder(),
+         .registry = &scope.metrics()});
     for (const telemetry::MetricSample& m : snap.samples) {
       std::string key = m.name;
       for (const auto& [k, v] : m.labels) {
@@ -207,29 +215,21 @@ std::string ShardRunner::metrics_digest() {
       // engine and any shard decomposition — so a watermark can differ by
       // one transient packet while every packet's FATE (tx, drop, mark,
       // delivery) is identical. The digest therefore folds only the
-      // fate-determined kinds; gauges stay inspectable per scope.
+      // fate-determined kinds; gauges stay inspectable in the snapshot.
       if (m.kind == telemetry::MetricKind::kGauge) continue;
       Fold& f = fold[key];
       f.kind = m.kind;
-      switch (m.kind) {
-        case telemetry::MetricKind::kCounter:
-          f.value += m.value;
-          break;
-        case telemetry::MetricKind::kGauge:
-          break;  // excluded above
-        case telemetry::MetricKind::kHistogram:
-          f.count += m.count;
-          f.sum += m.sum;
-          break;
-      }
+      f.value += m.value;
+      f.count += m.count;
+      f.sum += m.sum;
     }
   }
   std::string out;
   char buf[96];
   for (const auto& [key, f] : fold) {
-    // Which cells exist differs across shard counts (each shard scope
-    // registers its own audit counters, all normally zero); the digest
-    // keeps only cells that recorded something so it compares pure signal.
+    // Which rows exist differs across shard counts (each shard scope's
+    // flight recorder reports its own audits, all normally zero); the digest
+    // keeps only rows that recorded something so it compares pure signal.
     if (f.kind == telemetry::MetricKind::kHistogram) {
       if (f.count == 0) continue;
       std::snprintf(buf, sizeof buf, " %llu %.17g",

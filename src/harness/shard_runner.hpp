@@ -12,6 +12,14 @@
 #include "sim/time.hpp"
 #include "telemetry/scope.hpp"
 
+namespace clove::fault {
+class FaultInjector;
+}  // namespace clove::fault
+
+namespace clove::net {
+class Topology;
+}  // namespace clove::net
+
 namespace clove::harness {
 
 /// Shards for a sharded single-run simulation: the CLOVE_SHARDS environment
@@ -41,8 +49,8 @@ namespace clove::harness {
 ///
 /// Telemetry: shard 0 records into the caller's ambient scope; shards 1+
 /// each get a private Scope inheriting the ambient settings. Merge the
-/// results with metrics_digest() (order-independent fold) or by snapshotting
-/// the scopes directly. When an engine profiler is active at construction,
+/// results with metrics_digest() (order-independent fold) or by reading the
+/// scopes directly. When an engine profiler is active at construction,
 /// each shard profiles into its own prof::Profiler; the destructor deposits
 /// per-shard copies (Profiler::note_shard) and merges the totals into the
 /// session profiler, with barrier wait measured under prof::kShardSync.
@@ -67,15 +75,18 @@ class ShardRunner {
   /// The telemetry scope shard `s` records into (shard 0 = the ambient one).
   [[nodiscard]] telemetry::Scope& scope(int s) { return *scope_of_[s]; }
 
-  /// Deterministic fold of every shard scope's metrics, one line per metric
-  /// sorted by (name, labels): counters sum, histograms fold count+sum.
+  /// Deterministic fold of the run's metrics — collect_metrics over `topo`
+  /// and `faults` plus every shard scope's histograms and audits — one line
+  /// per metric sorted by (name, labels): counters sum, histograms fold
+  /// count+sum.
   /// Equal digests <=> every packet met the same fate (tx, drop, mark,
   /// delivery) per entity, so the determinism suite compares this string
   /// across shard/thread counts. Gauges (instantaneous-occupancy
   /// watermarks) are excluded: at an exactly-tied timestamp the arrival/
   /// dequeue interleave is an artifact of event insertion order, not of the
   /// modeled physics — see DESIGN.md §11.
-  [[nodiscard]] std::string metrics_digest();
+  [[nodiscard]] std::string metrics_digest(
+      const net::Topology& topo, const fault::FaultInjector* faults = nullptr);
 
   /// Number of lookahead windows executed so far (coordination granularity;
   /// exported by benches next to the shard_sync profile share).

@@ -33,8 +33,7 @@ struct HybridConfig {
   /// headroom for the packet-level traffic sharing the link.
   double max_share{0.95};
 
-  /// CLOVE_HYBRID=on|1|true enables; CLOVE_HYBRID_RAMP / _MIN_REMAINING /
-  /// _TAIL (bytes) and CLOVE_HYBRID_SOLVE_US override the knobs.
+  /// CLOVE_HYBRID=on|1|true enables; every other knob keeps its default.
   [[nodiscard]] static HybridConfig from_env();
 };
 

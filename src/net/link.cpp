@@ -19,22 +19,11 @@ Link::Link(sim::Simulator& sim, LinkId id, std::string name, Node* dst,
       dst_in_port_(dst_in_port),
       cfg_(cfg) {
   dre_.configure(cfg_.dre_alpha, cfg_.dre_interval, cfg_.rate_bytes_per_sec);
-  auto& reg = telemetry::hub().metrics();
-  const telemetry::Labels labels{{"link", name_}};
-  cells_.tx_packets = reg.counter("link.tx_packets", labels);
-  cells_.tx_bytes = reg.counter("link.tx_bytes", labels);
-  cells_.drops_overflow = reg.counter("link.drops_overflow", labels);
-  cells_.drops_down = reg.counter("link.drops_down", labels);
-  cells_.drops_fault = reg.counter("link.drops_fault", labels);
-  cells_.ecn_marks = reg.counter("link.ecn_marks", labels);
-  cells_.queue_high_watermark =
-      reg.gauge("link.queue_high_watermark_bytes", labels);
 }
 
 void Link::enqueue(PacketPtr pkt) {
   if (down_) {
     ++stats_.drops_down;
-    if (telemetry::enabled()) cells_.drops_down->add();
     if (auto* fr = telemetry::flight()) {
       fr->on_drop(pkt->uid, dst_ != nullptr ? dst_->id() : 0, name_,
                   telemetry::JourneyOutcome::kDropLinkDown, sim_.now());
@@ -45,7 +34,6 @@ void Link::enqueue(PacketPtr pkt) {
     // Injected gray failure: the packet vanishes with no observable signal
     // on the link itself — the only evidence is missing deliveries.
     ++stats_.drops_fault;
-    if (telemetry::enabled()) cells_.drops_fault->add();
     if (telemetry::tracing()) {
       telemetry::trace(telemetry::Category::kFault, sim_.now(), name_,
                        "link.fault_drop", pkt->to_string(), fault_drop_prob_);
@@ -59,7 +47,6 @@ void Link::enqueue(PacketPtr pkt) {
   const std::int64_t wire = pkt->wire_size();
   if (queue_bytes_ + wire > cfg_.queue_capacity_bytes) {
     ++stats_.drops_overflow;
-    if (telemetry::enabled()) cells_.drops_overflow->add();
     if (telemetry::tracing()) {
       telemetry::trace(telemetry::Category::kQueue, sim_.now(), name_,
                        "link.drop_overflow", pkt->to_string(),
@@ -83,17 +70,11 @@ void Link::enqueue(PacketPtr pkt) {
       fresh_mark = !pkt->tcp.ce;
       pkt->tcp.ce = true;
     }
-    if (fresh_mark) {
-      ++stats_.ecn_marks;
-      if (telemetry::enabled()) cells_.ecn_marks->add();
-    }
+    if (fresh_mark) ++stats_.ecn_marks;
   }
   queue_.push_back(std::move(pkt));
   queue_bytes_ += wire;
   stats_.max_queue_bytes = std::max(stats_.max_queue_bytes, queue_bytes_);
-  if (telemetry::enabled()) {
-    cells_.queue_high_watermark->update_max(static_cast<double>(queue_bytes_));
-  }
   if (!busy_) start_tx();
 }
 
@@ -140,10 +121,6 @@ void Link::on_tx_done() {
   dre_.on_transmit(sim_.now(), wire);
   ++stats_.tx_packets;
   stats_.tx_bytes += static_cast<std::uint64_t>(wire);
-  if (telemetry::enabled()) {
-    cells_.tx_packets->add();
-    cells_.tx_bytes->add(static_cast<std::uint64_t>(wire));
-  }
 
   if (pkt->htrace.active) pkt->htrace.push(id_);
 
@@ -196,7 +173,6 @@ void Link::deliver_front() {
     propagating_.pop_front();
     if (down_) {
       ++stats_.drops_down;
-      if (telemetry::enabled()) cells_.drops_down->add();
       if (auto* fr = telemetry::flight()) {
         fr->on_drop(pkt->uid, dst_ != nullptr ? dst_->id() : 0, name_,
                     telemetry::JourneyOutcome::kDropLinkDown, sim_.now());
@@ -215,7 +191,6 @@ void Link::remote_deliver(PacketPtr pkt, sim::Time now) {
   CLOVE_PROF_SCOPE(prof::kLinkDeliver);
   if (down_) {
     ++stats_.drops_down;
-    if (telemetry::enabled()) cells_.drops_down->add();
     if (auto* fr = telemetry::flight()) {
       fr->on_drop(pkt->uid, dst_ != nullptr ? dst_->id() : 0, name_,
                   telemetry::JourneyOutcome::kDropLinkDown, now);
@@ -231,7 +206,6 @@ void Link::down() {
       queue_.size() + propagating_.size() + (in_flight_ ? 1 : 0) +
       (channel_ != nullptr ? channel_->staged_count() : 0);
   stats_.drops_down += flushed;
-  if (telemetry::enabled()) cells_.drops_down->add(flushed);
   if (telemetry::tracing()) {
     telemetry::trace(telemetry::Category::kTopology, sim_.now(), name_,
                      "link.down", "flushed in-flight packets",

@@ -8,7 +8,6 @@
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/dre.hpp"
-#include "telemetry/metrics.hpp"
 #include "util/ring_deque.hpp"
 
 namespace clove::net {
@@ -232,19 +231,6 @@ class Link {
 
   telemetry::Dre dre_;
   LinkStats stats_;
-
-  /// Registry cells, resolved once at construction; hot-path updates are
-  /// guarded by telemetry::enabled().
-  struct Cells {
-    telemetry::Counter* tx_packets;
-    telemetry::Counter* tx_bytes;
-    telemetry::Counter* drops_overflow;
-    telemetry::Counter* drops_down;
-    telemetry::Counter* drops_fault;
-    telemetry::Counter* ecn_marks;
-    telemetry::Gauge* queue_high_watermark;
-  };
-  Cells cells_;
 };
 
 }  // namespace clove::net

@@ -7,13 +7,7 @@
 namespace clove::net {
 
 Switch::Switch(sim::Simulator& sim, NodeId id, std::string name)
-    : Node(id, std::move(name)), sim_(sim) {
-  auto& reg = telemetry::hub().metrics();
-  const telemetry::Labels labels{{"switch", this->name()}};
-  cells_.forwarded = reg.counter("switch.forwarded", labels);
-  cells_.no_route_drops = reg.counter("switch.no_route_drops", labels);
-  cells_.ttl_drops = reg.counter("switch.ttl_drops", labels);
-}
+    : Node(id, std::move(name)), sim_(sim) {}
 
 void Switch::receive(PacketPtr pkt, int in_port) {
   CLOVE_PROF_SCOPE(prof::kSwitchForward);
@@ -21,7 +15,6 @@ void Switch::receive(PacketPtr pkt, int in_port) {
   // answer a traceroute probe or silently drop.
   if (pkt->ttl == 0) {
     ++stats_.ttl_drops;
-    if (telemetry::enabled()) cells_.ttl_drops->add();
     if (auto* fr = telemetry::flight()) {
       fr->on_drop(pkt->uid, id(), name(),
                   telemetry::JourneyOutcome::kDropTtl, sim_.now());
@@ -40,7 +33,6 @@ void Switch::receive(PacketPtr pkt, int in_port) {
       }
     } else {
       ++stats_.ttl_drops;
-      if (telemetry::enabled()) cells_.ttl_drops->add();
       if (auto* fr = telemetry::flight()) {
         fr->on_drop(pkt->uid, id(), name(),
                     telemetry::JourneyOutcome::kDropTtl, sim_.now());
@@ -56,7 +48,6 @@ void Switch::forward(PacketPtr pkt, int in_port) {
   const PortSet* ports = route(dst);
   if (ports == nullptr) {
     ++stats_.no_route_drops;
-    if (telemetry::enabled()) cells_.no_route_drops->add();
     if (telemetry::tracing()) {
       telemetry::trace(telemetry::Category::kQueue, sim_.now(), name(),
                        "switch.no_route", "dst " + std::to_string(dst), 0.0,
@@ -71,7 +62,6 @@ void Switch::forward(PacketPtr pkt, int in_port) {
   const int egress = select_port(*pkt, *ports, in_port);
   on_forward(*pkt, egress, in_port);
   ++stats_.forwarded;
-  if (telemetry::enabled()) cells_.forwarded->add();
   if (auto* fr = telemetry::flight(); fr != nullptr && fr->wants(pkt->uid)) {
     // Queue depth and ECN decision are recorded as the egress queue will see
     // this packet: the enqueue below applies exactly would_mark()'s condition.

@@ -7,7 +7,6 @@
 #include "net/link.hpp"
 #include "net/node.hpp"
 #include "sim/simulator.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace clove::net {
 
@@ -114,13 +113,6 @@ class Switch : public Node {
 
   sim::Simulator& sim_;
   SwitchStats stats_;
-
-  struct Cells {
-    telemetry::Counter* forwarded;
-    telemetry::Counter* no_route_drops;
-    telemetry::Counter* ttl_drops;
-  };
-  Cells cells_;
 
  private:
   std::vector<PortSet> routes_;  // indexed by destination IpAddr (node id)

@@ -14,15 +14,6 @@ Hypervisor::Hypervisor(net::NodeId id, std::string name, sim::Simulator& sim,
       cfg_(cfg),
       policy_(std::move(policy)) {
   policy_->set_owner(this->name());
-  auto& reg = telemetry::hub().metrics();
-  const telemetry::Labels labels{{"host", this->name()},
-                                 {"scheme", policy_->name()}};
-  cells_.encapped = reg.counter("hyp.encapped", labels);
-  cells_.decapped = reg.counter("hyp.decapped", labels);
-  cells_.ce_intercepted = reg.counter("hyp.ce_intercepted", labels);
-  cells_.feedback_attached = reg.counter("hyp.feedback_attached", labels);
-  cells_.feedback_received = reg.counter("hyp.feedback_received", labels);
-  cells_.forged_ece = reg.counter("hyp.forged_ece", labels);
   traceroute_ = std::make_unique<TracerouteDaemon>(
       sim_, ip(), cfg_.discovery,
       [this](net::PacketPtr p) { nic_send(std::move(p)); },
@@ -135,7 +126,6 @@ void Hypervisor::vm_send(net::PacketPtr pkt) {
 
   if (cfg_.overlay) {
     ++stats_.encapped;
-    if (telemetry::enabled()) cells_.encapped->add();
     pkt->encap.present = true;
     pkt->encap.tuple =
         net::FiveTuple{ip(), dst, port, kSttPort, net::Proto::kStt};
@@ -198,7 +188,6 @@ void Hypervisor::attach_feedback(net::IpAddr peer, net::Packet& pkt) {
     fb.has_latency = false;
     fb.last_relayed = sim_.now();
     ++stats_.feedback_attached;
-    if (telemetry::enabled()) cells_.feedback_attached->add();
     if (telemetry::tracing()) {
       telemetry::trace(telemetry::Category::kFeedback, sim_.now(), name(),
                        "feedback.relay",
@@ -303,14 +292,12 @@ void Hypervisor::handle_data(net::PacketPtr pkt) {
   if (pkt->encap.present) {
     peer = pkt->encap.tuple.src_ip;
     ++stats_.decapped;
-    if (telemetry::enabled()) cells_.decapped->add();
 
     // (a) Congestion interception (§3.2 "Detecting Congestion"): the outer
     // CE mark is recorded for relay to the sender and masked from the VM.
     if (pkt->encap.ecn.ce) {
       ++stats_.ce_intercepted;
       const std::uint16_t fwd_port = pkt->encap.tuple.src_port;
-      if (telemetry::enabled()) cells_.ce_intercepted->add();
       if (telemetry::tracing()) {
         telemetry::trace(telemetry::Category::kFeedback, sim_.now(), name(),
                          "ecn.intercept", "outer CE masked from VM", 0.0,
@@ -340,7 +327,6 @@ void Hypervisor::handle_data(net::PacketPtr pkt) {
     // (d) Feedback bits about OUR forward paths, relayed by the peer.
     if (pkt->encap.feedback.present) {
       ++stats_.feedback_received;
-      if (telemetry::enabled()) cells_.feedback_received->add();
       deliver_feedback(peer, pkt->encap.feedback);
     }
     // Decapsulate. Outer CE is deliberately NOT copied to the inner header.
@@ -357,7 +343,6 @@ void Hypervisor::handle_data(net::PacketPtr pkt) {
     peer = pkt->inner.src_ip;
     if (pkt->encap.feedback.present) {
       ++stats_.feedback_received;
-      if (telemetry::enabled()) cells_.feedback_received->add();
       deliver_feedback(peer, pkt->encap.feedback);
       pkt->encap.feedback = net::CloveFeedback{};
     }
@@ -365,7 +350,6 @@ void Hypervisor::handle_data(net::PacketPtr pkt) {
       // Inner marking reached us directly; treat like outer CE: record for
       // relay and mask from the VM.
       ++stats_.ce_intercepted;
-      if (telemetry::enabled()) cells_.ce_intercepted->add();
       const std::uint16_t fwd_port = pkt->inner.dst_port;
       note_feedback(peer, fwd_port,
                     [](PendingFeedback& fb) { fb.ecn_pending = true; });
@@ -388,7 +372,6 @@ void Hypervisor::handle_data(net::PacketPtr pkt) {
   if (all_congested) {
     if (!pkt->tcp.flags.ece) {
       ++stats_.forged_ece;
-      if (telemetry::enabled()) cells_.forged_ece->add();
       if (telemetry::tracing()) {
         telemetry::trace(telemetry::Category::kFeedback, sim_.now(), name(),
                          "ecn.forge_ece", "all paths congested", 0.0, peer);

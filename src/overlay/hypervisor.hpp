@@ -12,7 +12,6 @@
 #include "overlay/traceroute.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
-#include "telemetry/metrics.hpp"
 #include "transport/tcp.hpp"
 #include "util/flat_map.hpp"
 
@@ -177,16 +176,6 @@ class Hypervisor : public net::Node,
   util::FlatMap<net::IpAddr, PeerFeedback> pending_fb_;
 
   HypervisorStats stats_;
-
-  struct Cells {
-    telemetry::Counter* encapped;
-    telemetry::Counter* decapped;
-    telemetry::Counter* ce_intercepted;
-    telemetry::Counter* feedback_attached;
-    telemetry::Counter* feedback_received;
-    telemetry::Counter* forged_ece;
-  };
-  Cells cells_;
 };
 
 }  // namespace clove::overlay

@@ -26,15 +26,7 @@ PathHealthMonitor::PathHealthMonitor(sim::Simulator& sim, std::string owner,
       owner_(std::move(owner)),
       cfg_(cfg),
       daemon_(daemon),
-      policy_(policy) {
-  auto& reg = telemetry::hub().metrics();
-  const telemetry::Labels labels{{"host", owner_}};
-  cells_.keepalives = reg.counter("clove.pathset.keepalives", labels);
-  cells_.keepalive_acks = reg.counter("clove.pathset.keepalive_acks", labels);
-  cells_.suspects = reg.counter("clove.pathset.suspects", labels);
-  cells_.evictions = reg.counter("clove.pathset.evictions", labels);
-  cells_.readmissions = reg.counter("clove.pathset.readmissions", labels);
-}
+      policy_(policy) {}
 
 PathHealthMonitor::PortState* PathHealthMonitor::find(net::IpAddr dst,
                                                       std::uint16_t port) {
@@ -69,7 +61,6 @@ void PathHealthMonitor::on_paths_updated(net::IpAddr dst,
       st.last_evidence = sim_.now();
       st.misses = 0;
       ++stats_.readmissions;
-      if (telemetry::enabled()) cells_.readmissions->add();
       if (telemetry::tracing()) {
         telemetry::trace(telemetry::Category::kFault, sim_.now(), owner_,
                          "pathset.readmit", port_detail(dst, info.port), 0.0,
@@ -123,7 +114,6 @@ void PathHealthMonitor::tick() {
       st.misses = 0;
       st.backoff = cfg_.probe_backoff;
       ++stats_.suspects;
-      if (telemetry::enabled()) cells_.suspects->add();
       if (telemetry::tracing()) {
         telemetry::trace(telemetry::Category::kFault, now, owner_,
                          "pathset.suspect", port_detail(dst, port),
@@ -140,7 +130,6 @@ void PathHealthMonitor::send_keepalive(net::IpAddr dst, std::uint16_t port) {
   if (st == nullptr || st->probe_outstanding) return;
   st->probe_outstanding = true;
   ++stats_.keepalives_sent;
-  if (telemetry::enabled()) cells_.keepalives->add();
   daemon_->keepalive(dst, port,
                      [this](net::IpAddr d, std::uint16_t p, bool alive) {
                        on_keepalive_result(d, p, alive);
@@ -164,7 +153,6 @@ void PathHealthMonitor::on_keepalive_result(net::IpAddr dst,
   st->probe_outstanding = false;
   if (alive) {
     ++stats_.keepalive_acks;
-    if (telemetry::enabled()) cells_.keepalive_acks->add();
     if (st->health == PortHealth::kEvicted) {
       // The dead path answers again. Ask discovery for a fresh round right
       // away; the republished set readmits the port (or maps a new one to
@@ -172,7 +160,6 @@ void PathHealthMonitor::on_keepalive_result(net::IpAddr dst,
       // republishes synchronously-ish and the entry must not linger if the
       // port mapping changed.
       ++stats_.readmissions;
-      if (telemetry::enabled()) cells_.readmissions->add();
       if (telemetry::tracing()) {
         telemetry::trace(telemetry::Category::kFault, sim_.now(), owner_,
                          "pathset.reprobe_ok", port_detail(dst, port), 0.0,
@@ -209,7 +196,6 @@ void PathHealthMonitor::evict(net::IpAddr dst, std::uint16_t port) {
   if (st == nullptr || st->health == PortHealth::kEvicted) return;
   st->health = PortHealth::kEvicted;
   ++stats_.evictions;
-  if (telemetry::enabled()) cells_.evictions->add();
   if (telemetry::tracing()) {
     telemetry::trace(telemetry::Category::kFault, sim_.now(), owner_,
                      "pathset.evict", port_detail(dst, port),

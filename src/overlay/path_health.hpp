@@ -9,7 +9,6 @@
 #include "overlay/paths.hpp"
 #include "overlay/traceroute.hpp"
 #include "sim/simulator.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace clove::overlay {
 
@@ -118,15 +117,6 @@ class PathHealthMonitor {
   std::map<net::IpAddr, PortMap> dsts_;
   bool tick_armed_{false};
   Stats stats_;
-
-  struct Cells {
-    telemetry::Counter* keepalives;
-    telemetry::Counter* keepalive_acks;
-    telemetry::Counter* suspects;
-    telemetry::Counter* evictions;
-    telemetry::Counter* readmissions;
-  };
-  Cells cells_;
 };
 
 }  // namespace clove::overlay

@@ -11,7 +11,7 @@
 namespace clove::prof {
 
 namespace detail {
-thread_local Profiler* tl_prof = nullptr;
+constinit thread_local Profiler* tl_prof = nullptr;
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(

@@ -60,15 +60,8 @@ FlightConfig FlightConfig::from_env() {
   return c;
 }
 
-FlightRecorder::FlightRecorder(const FlightConfig& cfg, MetricsRegistry* metrics)
-    : cfg_(cfg) {
+FlightRecorder::FlightRecorder(const FlightConfig& cfg) : cfg_(cfg) {
   if (cfg_.sample_every == 0) cfg_.sample_every = 1;
-  if (metrics != nullptr) {
-    cells_.conservation = metrics->counter("clove.audit.conservation", {});
-    cells_.flowlet_reorder = metrics->counter("clove.audit.flowlet_reorder", {});
-    cells_.vm_reorder = metrics->counter("clove.audit.vm_reorder", {});
-    cells_.ecn_mask = metrics->counter("clove.audit.ecn_mask", {});
-  }
 }
 
 void FlightRecorder::reset() {
@@ -240,8 +233,7 @@ void FlightRecorder::finalize(Journey& j, JourneyOutcome outcome,
             detail += std::to_string(j.seq);
             detail += ") arrived after send #";
             detail += std::to_string(fs->arr_last_send);
-            violation("flowlet_reorder", &AuditCounts::flowlet_reorder,
-                      cells_.flowlet_reorder, detail);
+            violation("flowlet_reorder", &AuditCounts::flowlet_reorder, detail);
           } else if (j.send_idx > fs->arr_last_send) {
             fs->arr_last_send = j.send_idx;
           }
@@ -397,7 +389,7 @@ void FlightRecorder::on_vm_delivery(std::uint64_t uid,
                                     bool inner_ce, bool ordering_expected,
                                     sim::Time /*now*/) {
   if (inner_ce) {
-    violation("ecn_mask", &AuditCounts::ecn_mask, cells_.ecn_mask,
+    violation("ecn_mask", &AuditCounts::ecn_mask,
               "inner CE reached the VM on " + flow.to_string());
   }
   if (payload == 0) return;
@@ -427,8 +419,7 @@ void FlightRecorder::on_vm_delivery(std::uint64_t uid,
     detail += std::to_string(seq);
     detail += ") after send #";
     detail += std::to_string(fs.vm_last_send);
-    violation("vm_reorder", &AuditCounts::vm_reorder, cells_.vm_reorder,
-              detail);
+    violation("vm_reorder", &AuditCounts::vm_reorder, detail);
   } else {
     fs.vm_last_send = send_idx;
   }
@@ -457,7 +448,7 @@ void FlightRecorder::on_route_change() {
 
 void FlightRecorder::on_ecn_to_vm(bool all_paths_congested) {
   if (all_paths_congested) return;
-  violation("ecn_mask", &AuditCounts::ecn_mask, cells_.ecn_mask,
+  violation("ecn_mask", &AuditCounts::ecn_mask,
             "ECE surfaced to a VM while uncongested paths remain");
 }
 
@@ -501,9 +492,8 @@ void FlightRecorder::bump_usage(std::uint32_t via, sim::Time t,
 
 void FlightRecorder::violation(const char* auditor,
                                std::uint64_t AuditCounts::*counter,
-                               Counter* cell, const std::string& detail) {
+                               const std::string& detail) {
   ++(audit_.*counter);
-  if (cell != nullptr) cell->add();
   if (fail_handler_) {
     fail_handler_(auditor, detail);
   } else if (loud_prints_left_ > 0) {
@@ -528,8 +518,7 @@ std::uint64_t FlightRecorder::audit_conservation(sim::Time now,
     detail += ", idle ";
     detail += std::to_string(sim::to_microseconds(now - j.t_last));
     detail += "us with no delivery or drop record";
-    violation("conservation", &AuditCounts::conservation, cells_.conservation,
-              detail);
+    violation("conservation", &AuditCounts::conservation, detail);
   }
   return fresh;
 }

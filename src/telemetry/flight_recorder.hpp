@@ -8,7 +8,6 @@
 
 #include "sim/time.hpp"
 #include "telemetry/json.hpp"
-#include "telemetry/metrics.hpp"
 #include "util/flat_map.hpp"
 
 namespace clove::telemetry {
@@ -206,8 +205,7 @@ struct FlightSummary {
 /// reverse dependencies; node display names are learned from the hooks.
 class FlightRecorder {
  public:
-  explicit FlightRecorder(const FlightConfig& cfg,
-                          MetricsRegistry* metrics = nullptr);
+  explicit FlightRecorder(const FlightConfig& cfg);
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
@@ -376,7 +374,7 @@ class FlightRecorder {
   void bump_usage(std::uint32_t via, sim::Time t, std::uint64_t packets,
                   std::uint64_t bytes, std::uint64_t flowlets);
   void violation(const char* auditor, std::uint64_t AuditCounts::*counter,
-                 Counter* cell, const std::string& detail);
+                 const std::string& detail);
   void learn_name(std::uint32_t node, const std::string& name);
 
   FlightConfig cfg_;
@@ -409,13 +407,6 @@ class FlightRecorder {
   std::uint64_t flowlets_attributed_{0};
 
   AuditCounts audit_{};
-  struct AuditCells {
-    Counter* conservation{nullptr};
-    Counter* flowlet_reorder{nullptr};
-    Counter* vm_reorder{nullptr};
-    Counter* ecn_mask{nullptr};
-  };
-  AuditCells cells_{};
   std::function<void(const char*, const std::string&)> fail_handler_;
   int loud_prints_left_{8};
 };

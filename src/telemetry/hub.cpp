@@ -2,11 +2,6 @@
 
 namespace clove::telemetry {
 
-Hub& hub() {
-  static Hub instance;  // stateless facade; one is as good as another
-  return instance;
-}
-
 void trace(Category cat, sim::Time now, std::string node, std::string name,
            std::string detail, double value, std::uint64_t id) {
   if (static_cast<int>(sim::log_level()) >=

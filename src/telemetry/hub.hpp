@@ -10,28 +10,9 @@
 
 namespace clove::telemetry {
 
-/// Compatibility facade over the thread's current telemetry Scope (see
-/// scope.hpp). Historically the Hub owned a process-wide registry and trace
-/// ring; those now live in Scopes so parallel sweep points can each collect
-/// in isolation. Existing call sites — `telemetry::hub().metrics()` at
-/// component construction, `hub().trace()` in tools — keep working unchanged:
-/// they simply resolve against whatever scope is current on the calling
-/// thread (the environment-configured process scope unless a ScopeGuard
-/// installed another).
-class Hub {
- public:
-  [[nodiscard]] MetricsRegistry& metrics() { return current_scope().metrics(); }
-  [[nodiscard]] TraceLog& trace() { return current_scope().trace(); }
-
-  void set_enabled(bool on) { current_scope().set_enabled(on); }
-  [[nodiscard]] bool is_enabled() const { return current_scope().is_enabled(); }
-
-  /// Start-of-run housekeeping for the current scope: zero metric values and
-  /// clear the trace ring. Resolved cell pointers stay valid.
-  void begin_run() { current_scope().begin_run(); }
-};
-
-[[nodiscard]] Hub& hub();
+/// Alias of current_scope() (see scope.hpp), kept for callers written
+/// against it.
+[[nodiscard]] inline Scope& hub() { return current_scope(); }
 
 /// Record a structured trace event (and mirror it to stderr when the log
 /// level is at kTrace, so CLOVE_LOG_LEVEL=trace shows the same stream the

@@ -76,12 +76,7 @@ void Histogram::reset() {
 namespace {
 std::string cell_key(MetricKind kind, const std::string& name,
                      const Labels& labels) {
-  std::string key;
-  switch (kind) {
-    case MetricKind::kCounter: key = "c:"; break;
-    case MetricKind::kGauge: key = "g:"; break;
-    case MetricKind::kHistogram: key = "h:"; break;
-  }
+  std::string key = kind == MetricKind::kCounter ? "c:" : "h:";
   key += name;
   Labels sorted = labels;
   std::sort(sorted.begin(), sorted.end());
@@ -118,10 +113,6 @@ Counter* MetricsRegistry::counter(const std::string& name,
   return &get_or_create(MetricKind::kCounter, name, labels)->counter;
 }
 
-Gauge* MetricsRegistry::gauge(const std::string& name, const Labels& labels) {
-  return &get_or_create(MetricKind::kGauge, name, labels)->gauge;
-}
-
 Histogram* MetricsRegistry::histogram(const std::string& name,
                                       const Labels& labels) {
   return &get_or_create(MetricKind::kHistogram, name, labels)->histogram;
@@ -130,7 +121,6 @@ Histogram* MetricsRegistry::histogram(const std::string& name,
 void MetricsRegistry::reset_values() {
   for (auto& [key, e] : entries_) {
     e->counter.reset();
-    e->gauge.reset();
     e->histogram.reset();
   }
 }
@@ -143,22 +133,16 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     s.name = e->name;
     s.labels = e->labels;
     s.kind = e->kind;
-    switch (e->kind) {
-      case MetricKind::kCounter:
-        s.value = static_cast<double>(e->counter.value());
-        break;
-      case MetricKind::kGauge:
-        s.value = e->gauge.value();
-        break;
-      case MetricKind::kHistogram:
-        s.count = e->histogram.count();
-        s.sum = e->histogram.sum();
-        s.min = e->histogram.min();
-        s.max = e->histogram.max();
-        s.p50 = e->histogram.percentile(50);
-        s.p99 = e->histogram.percentile(99);
-        s.value = e->histogram.mean();
-        break;
+    if (e->kind == MetricKind::kCounter) {
+      s.value = static_cast<double>(e->counter.value());
+    } else {
+      s.count = e->histogram.count();
+      s.sum = e->histogram.sum();
+      s.min = e->histogram.min();
+      s.max = e->histogram.max();
+      s.p50 = e->histogram.percentile(50);
+      s.p99 = e->histogram.percentile(99);
+      s.value = e->histogram.mean();
     }
     snap.samples.push_back(std::move(s));
   }

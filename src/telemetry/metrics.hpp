@@ -16,10 +16,9 @@ namespace clove::telemetry {
 /// Canonicalized (sorted by key) when used to identify a registry cell.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-/// Monotonic counter cell. Cells are owned by the MetricsRegistry and stay
-/// valid for the process lifetime, so instrumented components resolve them
-/// once (at construction) and do a plain add on the hot path, guarded by the
-/// hub's enabled() check.
+/// Monotonic counter cell. The MetricsRegistry owns its cells, which stay
+/// valid for the registry's lifetime, so a recording site resolves its cell
+/// once and does a plain add on the hot path, guarded by enabled().
 class Counter {
  public:
   void add(std::uint64_t n = 1) { v_ += n; }
@@ -28,21 +27,6 @@ class Counter {
 
  private:
   std::uint64_t v_{0};
-};
-
-/// Last-value / high-watermark gauge cell.
-class Gauge {
- public:
-  void set(double v) { v_ = v; }
-  /// Keep the maximum seen (queue-depth high-watermarks).
-  void update_max(double v) {
-    if (v > v_) v_ = v;
-  }
-  [[nodiscard]] double value() const { return v_; }
-  void reset() { v_ = 0.0; }
-
- private:
-  double v_{0.0};
 };
 
 /// Log-bucketed histogram: exponential buckets with kSubBuckets buckets per
@@ -78,9 +62,11 @@ class Histogram {
   double max_{0.0};
 };
 
+/// Registry cells are counters and histograms; gauges (high-watermarks) only
+/// appear in snapshots collected from component stats.
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
-/// One exported metric value (see MetricsRegistry::snapshot()).
+/// One exported metric value.
 struct MetricSample {
   std::string name;
   Labels labels;
@@ -95,8 +81,8 @@ struct MetricSample {
   double p99{0.0};
 };
 
-/// Point-in-time export of every registered metric, sorted by (name, labels)
-/// for deterministic artifacts.
+/// Point-in-time export of a run's metrics, sorted by (name, labels) for
+/// deterministic artifacts.
 struct MetricsSnapshot {
   std::vector<MetricSample> samples;
 
@@ -110,16 +96,16 @@ struct MetricsSnapshot {
 };
 
 /// Named, labeled metric cells with get-or-create registration and a
-/// snapshot/export API. Lookups happen at component construction; the hot
-/// path touches only the returned cell. Values survive reset_values() as
-/// zeroed cells, so resolved pointers never dangle across runs.
+/// snapshot/export API, for values no component keeps itself (the TCP RTT
+/// distribution). Lookups happen once per recording site; the hot path
+/// touches only the returned cell. Values survive reset_values() as zeroed
+/// cells, so resolved pointers never dangle across runs.
 class MetricsRegistry {
  public:
   Counter* counter(const std::string& name, const Labels& labels = {});
-  Gauge* gauge(const std::string& name, const Labels& labels = {});
   Histogram* histogram(const std::string& name, const Labels& labels = {});
 
-  /// Zero every cell (start of a run). Cells remain registered.
+  /// Zero every cell (start of a run). The cells remain registered.
   void reset_values();
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] MetricsSnapshot snapshot() const;
@@ -130,7 +116,6 @@ class MetricsRegistry {
     Labels labels;
     MetricKind kind;
     Counter counter;
-    Gauge gauge;
     Histogram histogram;
   };
   Entry* get_or_create(MetricKind kind, const std::string& name,

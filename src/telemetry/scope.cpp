@@ -5,9 +5,9 @@
 namespace clove::telemetry {
 
 namespace detail {
-thread_local Scope* tl_scope = nullptr;
-thread_local bool tl_enabled = false;
-thread_local FlightRecorder* tl_flight = nullptr;
+constinit thread_local Scope* tl_scope = nullptr;
+constinit thread_local bool tl_enabled = false;
+constinit thread_local FlightRecorder* tl_flight = nullptr;
 }  // namespace detail
 
 ScopeSettings ScopeSettings::from_env() {
@@ -34,7 +34,7 @@ void Scope::set_enabled(bool on) {
 FlightRecorder* Scope::flight_recorder() {
   if (flight_cfg_.mode == FlightMode::kOff) return nullptr;
   if (!flight_) {
-    flight_ = std::make_unique<FlightRecorder>(flight_cfg_, &metrics_);
+    flight_ = std::make_unique<FlightRecorder>(flight_cfg_);
   }
   return flight_.get();
 }

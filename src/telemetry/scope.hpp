@@ -30,7 +30,7 @@ struct ScopeSettings {
 /// them lets harness::ParallelRunner give every concurrently running sweep
 /// point its own isolated registry — no cross-thread sharing, no locks on the
 /// recording hot path — while single-threaded code keeps using the implicit
-/// process scope through the unchanged telemetry::hub() facade.
+/// process scope through current_scope().
 ///
 /// A Scope is not itself thread-safe; it is installed on exactly one thread
 /// at a time via ScopeGuard.
@@ -85,16 +85,18 @@ class Scope {
   std::unique_ptr<FlightRecorder> flight_;
 };
 
+// The thread-locals are constinit: statically initialized, so each access is
+// a plain TLS load with no call through a lazy-init wrapper.
 namespace detail {
 /// The scope telemetry records into on this thread (null until a ScopeGuard
 /// installs one or current_scope() falls back to the lazy process scope).
-extern thread_local Scope* tl_scope;
+extern constinit thread_local Scope* tl_scope;
 /// Mirror of current scope's is_enabled(), kept thread-local so the hot-path
 /// guard stays a single TLS bool load.
-extern thread_local bool tl_enabled;
+extern constinit thread_local bool tl_enabled;
 /// The current scope's flight recorder when (and only when) its mode is not
 /// kOff — the datapath's disabled-cost guard is this one TLS pointer load.
-extern thread_local FlightRecorder* tl_flight;
+extern constinit thread_local FlightRecorder* tl_flight;
 }  // namespace detail
 
 /// The zero-cost-when-disabled guard: one thread-local bool load. Every

@@ -25,9 +25,7 @@ TcpSender::TcpSender(VmPort& port, net::FiveTuple tuple, TcpConfig cfg)
       cwnd_(static_cast<std::uint64_t>(cfg.initial_cwnd_pkts) * cfg.mss),
       ssthresh_(cfg.max_cwnd_bytes) {
   if (cfg_.dctcp) cfg_.ecn = true;
-  auto& m = telemetry::hub().metrics();
-  cells_ = Cells{m.counter("tcp.timeouts"), m.counter("tcp.fast_retransmits"),
-                 m.counter("tcp.ecn_reductions"), m.histogram("tcp.rtt_us")};
+  rtt_us_ = telemetry::current_scope().metrics().histogram("tcp.rtt_us");
 }
 
 TcpSender::~TcpSender() {
@@ -111,7 +109,7 @@ void TcpSender::on_tlp() {
 
 void TcpSender::rtt_sample(sim::Time m) {
   if (telemetry::enabled()) {
-    cells_.rtt_us->observe(static_cast<double>(m) / sim::kMicrosecond);
+    rtt_us_->observe(static_cast<double>(m) / sim::kMicrosecond);
   }
   if (srtt_ == 0) {
     srtt_ = m;
@@ -277,7 +275,6 @@ std::pair<std::uint64_t, std::uint32_t> TcpSender::next_hole() const {
 void TcpSender::enter_recovery_sack() {
   if (hook_ != nullptr) hook_->on_loss_event(*this);
   ++stats_.fast_retransmits;
-  if (telemetry::enabled()) cells_.fast_retransmits->add();
   if (telemetry::tracing()) {
     telemetry::trace(telemetry::Category::kTcp, port_.simulator().now(),
                      tuple_.to_string(), "tcp.fast_retransmit", "sack",
@@ -346,7 +343,6 @@ void TcpSender::ecn_reduce() {
   if (hook_ != nullptr) hook_->on_loss_event(*this);
   ecn_reduce_until_ = snd_nxt_;
   ++stats_.ecn_reductions;
-  if (telemetry::enabled()) cells_.ecn_reductions->add();
   cwr_pending_ = true;
   std::uint64_t new_cwnd;
   if (cfg_.dctcp) {
@@ -493,7 +489,6 @@ void TcpSender::handle_dupack() {
   if (dupacks_ >= cfg_.dupack_threshold) {
     if (hook_ != nullptr) hook_->on_loss_event(*this);
     ++stats_.fast_retransmits;
-    if (telemetry::enabled()) cells_.fast_retransmits->add();
     if (telemetry::tracing()) {
       telemetry::trace(telemetry::Category::kTcp, port_.simulator().now(),
                        tuple_.to_string(), "tcp.fast_retransmit", "dupack",
@@ -516,7 +511,6 @@ void TcpSender::on_rto() {
   if (snd_una_ >= snd_nxt_) return;  // nothing outstanding
   if (hook_ != nullptr) hook_->on_loss_event(*this);
   ++stats_.timeouts;
-  if (telemetry::enabled()) cells_.timeouts->add();
   if (telemetry::tracing()) {
     telemetry::trace(telemetry::Category::kTcp, port_.simulator().now(),
                      tuple_.to_string(), "tcp.timeout",

@@ -264,19 +264,13 @@ class TcpSender : public TcpEndpoint {
 
   TcpSenderStats stats_;
 
-  // Transport counters, resolved once at construction against the telemetry
-  // scope current on the constructing thread. Senders are too numerous for
-  // per-sender label sets, so every sender in a scope shares the same cells;
-  // per-flow attribution comes from trace events instead. A member (not a
+  // The RTT distribution is the one transport metric no stats field keeps,
+  // so it is pushed into the histogram of the telemetry scope current on the
+  // constructing thread. Every sender in a scope shares it; per-flow
+  // attribution comes from trace events instead. A member (not a
   // function-local static) so each parallel sweep point's senders bind to
   // that point's own scope.
-  struct Cells {
-    telemetry::Counter* timeouts;
-    telemetry::Counter* fast_retransmits;
-    telemetry::Counter* ecn_reductions;
-    telemetry::Histogram* rtt_us;
-  };
-  Cells cells_;
+  telemetry::Histogram* rtt_us_;
 };
 
 /// One-directional TCP receiver: cumulative ACKs, out-of-order reassembly,

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "fault/fault.hpp"
 #include "harness/experiment.hpp"
 #include "lb/presto.hpp"
 #include "net/conga_switch.hpp"
@@ -277,6 +278,90 @@ TEST(Harness, FlightWatchCoversLeafSpineFabricLinks) {
       << header;
   // 2 leaves x 2 spines x 2 links x 2 directions x 2 series.
   EXPECT_EQ(std::count(header.begin(), header.end(), ','), 32);
+}
+
+// ---------------------------------------------------------------------------
+// Metrics snapshots collected from the components' stats
+// ---------------------------------------------------------------------------
+
+/// A fresh telemetry scope, collecting, installed for the caller's block.
+struct CollectingScope {
+  explicit CollectingScope(bool flight_full = false)
+      : scope(settings(flight_full)), guard(scope) {}
+  static telemetry::ScopeSettings settings(bool flight_full) {
+    telemetry::ScopeSettings s;
+    s.enabled = true;
+    if (flight_full) s.flight.mode = telemetry::FlightMode::kFull;
+    return s;
+  }
+  telemetry::Scope scope;
+  telemetry::ScopeGuard guard;
+};
+
+workload::ClientServerConfig tiny_wl() {
+  workload::ClientServerConfig wl;
+  wl.jobs_per_conn = 4;
+  wl.conns_per_client = 1;
+  wl.load = 0.5;
+  return wl;
+}
+
+TEST(Harness, SnapshotHoldsOnlyTheCurrentRunsRows) {
+  // Two runs in one scope: the second snapshot describes the second testbed
+  // alone, with no zeroed rows left over from the first run's hosts.
+  CollectingScope tel;
+  const ExperimentResult ecmp = run_fct_experiment(small(Scheme::kEcmp),
+                                                   tiny_wl());
+  const ExperimentResult clove =
+      run_fct_experiment(small(Scheme::kCloveEcn), tiny_wl());
+  ASSERT_FALSE(ecmp.metrics.samples.empty());
+  EXPECT_NE(ecmp.metrics.find("hyp.encapped",
+                              {{"host", "h1-1"}, {"scheme", "ecmp"}}),
+            nullptr);
+  int stale = 0;
+  for (const telemetry::MetricSample& m : clove.metrics.samples) {
+    for (const auto& [key, value] : m.labels) {
+      if (key == "scheme" && value == "ecmp") ++stale;
+    }
+  }
+  EXPECT_EQ(stale, 0);
+  EXPECT_EQ(clove.metrics.samples.size(), ecmp.metrics.samples.size());
+}
+
+TEST(Harness, CollectedMetricsMatchTheResultCounters) {
+  CollectingScope tel(/*flight_full=*/true);
+  ExperimentConfig cfg = small(Scheme::kCloveEcn);
+  cfg.asymmetric = true;
+  cfg.topo.fabric_gbps = 10.0;  // scaled to the 4-host leaves, so queues mark
+  cfg.path_health.enabled = true;
+  cfg.fault_plan.add(20 * sim::kMillisecond, fault::FaultKind::kLinkDown,
+                     "L1->S1#0");
+  workload::ClientServerConfig wl;
+  wl.jobs_per_conn = 20;
+  wl.conns_per_client = 2;
+  wl.load = 1.1;
+  const ExperimentResult r = run_fct_experiment(cfg, wl);
+  const telemetry::MetricsSnapshot& m = r.metrics;
+
+  EXPECT_GT(r.ecn_marks, 0u);
+  EXPECT_EQ(m.sum_over("link.ecn_marks"), static_cast<double>(r.ecn_marks));
+  EXPECT_EQ(m.sum_over("link.drops_overflow"), static_cast<double>(r.drops));
+  EXPECT_EQ(m.sum_over("tcp.timeouts"), static_cast<double>(r.timeouts));
+  EXPECT_EQ(m.sum_over("tcp.fast_retransmits"),
+            static_cast<double>(r.fast_retransmits));
+  EXPECT_EQ(m.value_or("clove.fault.events_applied", -1.0), 1.0);
+
+  int audits = 0;
+  int pathset = 0;
+  for (const telemetry::MetricSample& s : m.samples) {
+    if (s.name.rfind("clove.audit.", 0) == 0) {
+      ++audits;
+      EXPECT_EQ(s.value, 0.0) << s.name;
+    }
+    if (s.name.rfind("clove.pathset.", 0) == 0) ++pathset;
+  }
+  EXPECT_EQ(audits, 4);
+  EXPECT_GT(pathset, 0);
 }
 
 // ---------------------------------------------------------------------------

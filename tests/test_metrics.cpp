@@ -43,41 +43,30 @@ TEST(MetricsRegistry, LabelOrderIsCanonicalized) {
 }
 
 TEST(MetricsRegistry, KindsWithSameNameAreSeparate) {
-  // A counter and a gauge may share a metric name without clobbering each
-  // other (the registry keys on kind as well).
+  // A counter and a histogram may share a metric name without clobbering
+  // each other (the registry keys on kind as well).
   MetricsRegistry reg;
   Counter* c = reg.counter("x");
-  Gauge* g = reg.gauge("x");
+  Histogram* h = reg.histogram("x");
   c->add(7);
-  g->set(1.5);
+  h->observe(1.5);
   EXPECT_EQ(c->value(), 7u);
-  EXPECT_DOUBLE_EQ(g->value(), 1.5);
+  EXPECT_EQ(h->count(), 1u);
+  EXPECT_EQ(reg.size(), 2u);
 }
 
 TEST(MetricsRegistry, ResetValuesKeepsPointersValid) {
   MetricsRegistry reg;
   Counter* c = reg.counter("pkts", {{"link", "L1"}});
-  Gauge* g = reg.gauge("depth");
   Histogram* h = reg.histogram("lat");
   c->add(10);
-  g->set(4.0);
   h->observe(1.0);
   reg.reset_values();
-  EXPECT_EQ(reg.size(), 3u);  // cells survive, zeroed
+  EXPECT_EQ(reg.size(), 2u);  // cells survive, zeroed
   EXPECT_EQ(c->value(), 0u);
-  EXPECT_DOUBLE_EQ(g->value(), 0.0);
   EXPECT_EQ(h->count(), 0u);
   c->add(1);  // the old pointer still points at the live cell
   EXPECT_EQ(reg.counter("pkts", {{"link", "L1"}})->value(), 1u);
-}
-
-TEST(Gauge, UpdateMaxKeepsHighWatermark) {
-  Gauge g;
-  g.update_max(5.0);
-  g.update_max(3.0);
-  EXPECT_DOUBLE_EQ(g.value(), 5.0);
-  g.update_max(8.0);
-  EXPECT_DOUBLE_EQ(g.value(), 8.0);
 }
 
 TEST(Histogram, ExactStatsAreExact) {
@@ -164,7 +153,7 @@ TEST(MetricsSnapshot, FindValueAndSum) {
   MetricsRegistry reg;
   reg.counter("drops", {{"link", "a"}})->add(3);
   reg.counter("drops", {{"link", "b"}})->add(4);
-  reg.gauge("depth")->set(9.5);
+  reg.counter("depth")->add(9);
   MetricsSnapshot snap = reg.snapshot();
   ASSERT_EQ(snap.samples.size(), 3u);
 
@@ -172,7 +161,7 @@ TEST(MetricsSnapshot, FindValueAndSum) {
   ASSERT_NE(s, nullptr);
   EXPECT_DOUBLE_EQ(s->value, 4.0);
   EXPECT_EQ(snap.find("drops"), nullptr);  // unlabeled variant not registered
-  EXPECT_DOUBLE_EQ(snap.value_or("depth", -1.0), 9.5);
+  EXPECT_DOUBLE_EQ(snap.value_or("depth", -1.0), 9.0);
   EXPECT_DOUBLE_EQ(snap.value_or("nope", -1.0), -1.0);
   EXPECT_DOUBLE_EQ(snap.sum_over("drops"), 7.0);
 }
@@ -206,7 +195,7 @@ TEST(MetricsSnapshot, DeterministicOrderAndJson) {
 }
 
 TEST(Hub, BeginRunZeroesWithoutInvalidating) {
-  Hub& h = hub();
+  Scope& h = hub();
   const bool was = h.is_enabled();
   h.set_enabled(true);
   Counter* c = h.metrics().counter("test.hub.counter");
@@ -223,7 +212,7 @@ TEST(Hub, BeginRunZeroesWithoutInvalidating) {
 }
 
 TEST(Hub, DisabledGuardSkipsRecording) {
-  Hub& h = hub();
+  Scope& h = hub();
   const bool was = h.is_enabled();
   h.set_enabled(false);
   h.begin_run();

@@ -111,7 +111,7 @@ RunResult run_once(int shards, unsigned threads) {
   runner.run(20 * sim::kMillisecond);
 
   RunResult out;
-  out.digest = runner.metrics_digest();
+  out.digest = runner.metrics_digest(topo, &inj);
   out.windows = runner.windows();
   out.faults_applied = inj.stats().events_applied;
 
