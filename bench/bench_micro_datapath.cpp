@@ -27,6 +27,7 @@
 #include "sim/simulator.hpp"
 #include "telemetry/dre.hpp"
 #include "telemetry/hub.hpp"
+#include "telemetry/metrics.hpp"
 
 // --- allocation counting ---------------------------------------------------
 // Program-wide operator new/delete override counting every heap allocation,
@@ -179,34 +180,33 @@ BENCHMARK(BM_PickPort_CloveEcn_Telemetry);
 
 void BM_TelemetryGuard_Disabled(benchmark::State& state) {
   // The cost instrumented components pay when telemetry is off: one load +
-  // branch around the (skipped) counter add.
+  // branch around the (skipped) recording.
   ScopedTelemetry t(false);
-  telemetry::Counter* c = telemetry::hub().metrics().counter("bench.guard");
+  std::uint64_t n = 0;
   for (auto _ : state) {
-    if (telemetry::enabled()) c->add();
-    benchmark::DoNotOptimize(c);
+    if (telemetry::enabled()) ++n;
+    benchmark::DoNotOptimize(n);
   }
 }
 BENCHMARK(BM_TelemetryGuard_Disabled);
 
 void BM_TelemetryCounterAdd_Enabled(benchmark::State& state) {
   ScopedTelemetry t(true);
-  telemetry::Counter* c = telemetry::hub().metrics().counter("bench.guard");
+  std::uint64_t n = 0;
   for (auto _ : state) {
-    if (telemetry::enabled()) c->add();
-    benchmark::DoNotOptimize(c);
+    if (telemetry::enabled()) ++n;
+    benchmark::DoNotOptimize(n);
   }
 }
 BENCHMARK(BM_TelemetryCounterAdd_Enabled);
 
 void BM_TelemetryHistogramObserve(benchmark::State& state) {
   ScopedTelemetry t(true);
-  telemetry::Histogram* h =
-      telemetry::hub().metrics().histogram("bench.histogram");
+  telemetry::Histogram h;
   double v = 1.0;
   for (auto _ : state) {
     v = v < 1e6 ? v * 1.37 : 1.0;
-    h->observe(v);
+    h.observe(v);
   }
   benchmark::DoNotOptimize(h);
 }

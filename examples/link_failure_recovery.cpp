@@ -276,8 +276,10 @@ int main() {
 
   // The always-on invariant auditors rode through the failure: packets may
   // die on the failed link (accounted drops), but none may vanish silently,
-  // arrive reordered within a flowlet, or leak ECN state into a guest.
-  telemetry::FlightSummary fs = fr->summary(tb.simulator().now());
+  // arrive reordered within a flowlet, or leak ECN state into a guest. With
+  // CLOVE_JSON_OUT set, the summary is also exported as FLIGHT_link_failure
+  // plus the journeys/flows JSONL.
+  const telemetry::FlightSummary fs = harness::export_flight(tb, "link_failure");
   std::printf("\nflight recorder: %llu packets seen, %llu journeys (%llu "
               "delivered, %llu dropped), %llu flowlets\n",
               static_cast<unsigned long long>(fs.packets_seen),
@@ -293,25 +295,17 @@ int main() {
               static_cast<unsigned long long>(fs.audit.ecn_mask),
               fs.audit.total() == 0 ? "  [all clean]" : "  [VIOLATIONS]");
 
-  // Optional machine-readable exports of the full capture.
+  // Optional machine-readable exports of the trace ring.
   const std::string out_dir = telemetry::json_out_dir();
   if (!out_dir.empty()) {
     const std::string jsonl = telemetry::write_text_artifact(
         out_dir, "link_failure_trace.jsonl", ring.to_jsonl());
     const std::string chrome = telemetry::write_text_artifact(
         out_dir, "link_failure_trace.chrome.json", ring.to_chrome_trace());
-    telemetry::Json doc = fs.to_json();
-    telemetry::Json names = telemetry::Json::object();
-    for (const telemetry::PathUsage& pu : fs.paths)
-      names.set(std::to_string(pu.via), telemetry::Json(fr->node_name(pu.via)));
-    doc.set("node_names", std::move(names));
-    const std::string flight = telemetry::write_json_artifact(
-        out_dir, "FLIGHT_link_failure", doc);
-    const std::string flows = telemetry::write_text_artifact(
-        out_dir, "link_failure_flows.jsonl", fr->flows_jsonl());
     std::printf("\ntrace exports: %s\n               %s\n"
-                "               %s\n               %s\n",
-                jsonl.c_str(), chrome.c_str(), flight.c_str(), flows.c_str());
+                "flight exports: %s/FLIGHT_link_failure.json, "
+                "flight_link_failure_*\n",
+                jsonl.c_str(), chrome.c_str(), out_dir.c_str());
   }
   return 0;
 }

@@ -479,11 +479,16 @@ telemetry::MetricsSnapshot collect_metrics(const MetricSources& src) {
     count("tcp.fast_retransmits", {}, src.transport->fast_retransmits);
     count("tcp.ecn_reductions", {}, src.transport->ecn_reductions);
   }
-  if (src.registry != nullptr) {
-    const telemetry::MetricsSnapshot pushed = src.registry->snapshot();
-    for (const MetricSample& s : pushed.samples) {
-      if (s.kind == MetricKind::kHistogram) rows[{s.name, s.labels}] = s;
-    }
+  if (src.rtt_us != nullptr) {
+    const telemetry::Histogram& h = *src.rtt_us;
+    MetricSample& s = row("tcp.rtt_us", {}, MetricKind::kHistogram);
+    s.value = h.mean();
+    s.count = h.count();
+    s.sum = h.sum();
+    s.min = h.min();
+    s.max = h.max();
+    s.p50 = h.percentile(50);
+    s.p99 = h.percentile(99);
   }
 
   telemetry::MetricsSnapshot snap;
@@ -498,8 +503,8 @@ telemetry::MetricsSnapshot collect_metrics(const MetricSources& src) {
 
 ExperimentResult run_fct_experiment(const ExperimentConfig& cfg,
                                     const workload::ClientServerConfig& wl) {
-  // Zero the scope's histograms and clear its trace ring and flight recorder
-  // so they describe this run only.
+  // Clear the scope's trace ring and flight recorder so they describe this
+  // run only.
   telemetry::current_scope().begin_run();
   Testbed tb(cfg);
   tb.start_discovery();
@@ -547,7 +552,7 @@ ExperimentResult run_fct_experiment(const ExperimentConfig& cfg,
          .faults = tb.fault_injector(),
          .flight = telemetry::flight(),
          .transport = &t,
-         .registry = &telemetry::current_scope().metrics()});
+         .rtt_us = &ws.rtt_us()});
   }
   r.flight = export_flight(tb, scheme_name(cfg.scheme));
   return r;

@@ -216,8 +216,8 @@ struct MetricSources {
   const fault::FaultInjector* faults{nullptr};
   const telemetry::FlightRecorder* flight{nullptr};
   const transport::TcpSenderStats* transport{nullptr};
-  /// Pushed histograms (tcp.rtt_us); the registry's counters are ignored.
-  const telemetry::MetricsRegistry* registry{nullptr};
+  /// The workload's RTT samples (see ClientServerWorkload::rtt_us).
+  const telemetry::Histogram* rtt_us{nullptr};
 };
 
 /// A run's metrics snapshot, read from the components' own stats when it is
@@ -229,7 +229,8 @@ struct MetricSources {
 ///   clove.pathset.* per host running a path-health monitor, {host}
 ///   clove.fault.*, clove.audit.*, tcp.*: the injector's, the flight
 ///            recorder's and the transport totals, unlabeled
-/// plus the registry's histograms. Rows with the same name and labels merge
+///   tcp.rtt_us histogram, unlabeled
+/// Rows with the same name and labels merge
 /// (parallel leaf-spine links share a display name): counters sum, gauges
 /// keep the max. Samples are sorted by (name, labels).
 [[nodiscard]] telemetry::MetricsSnapshot collect_metrics(

@@ -184,30 +184,15 @@ void ShardRunner::run_shard(int s, sim::Time until_inclusive) {
 
 std::string ShardRunner::metrics_digest(const net::Topology& topo,
                                         const fault::FaultInjector* faults) {
-  struct Fold {
-    telemetry::MetricKind kind{telemetry::MetricKind::kCounter};
-    double value{0.0};
-    std::uint64_t count{0};
-    double sum{0.0};
-  };
-  std::map<std::string, Fold> fold;
+  std::map<std::string, double> fold;
   for (int s = 0; s < n_; ++s) {
     // The fabric and the injector span every shard, so they are read once;
-    // each shard scope adds its own histograms and flight-recorder audits.
-    telemetry::Scope& scope = *scope_of_[static_cast<std::size_t>(s)];
+    // each shard scope adds its own flight-recorder audits.
     const telemetry::MetricsSnapshot snap = collect_metrics(
         {.topology = s == 0 ? &topo : nullptr,
          .faults = s == 0 ? faults : nullptr,
-         .flight = scope.flight_recorder(),
-         .registry = &scope.metrics()});
+         .flight = scope_of_[static_cast<std::size_t>(s)]->flight_recorder()});
     for (const telemetry::MetricSample& m : snap.samples) {
-      std::string key = m.name;
-      for (const auto& [k, v] : m.labels) {
-        key += '|';
-        key += k;
-        key += '=';
-        key += v;
-      }
       // Gauges are instantaneous-occupancy high-watermarks (queue depth at
       // some instant). At an exactly-tied timestamp the interleave of a
       // cross-shard arrival against a local dequeue is resolved by event-
@@ -215,29 +200,26 @@ std::string ShardRunner::metrics_digest(const net::Topology& topo,
       // engine and any shard decomposition — so a watermark can differ by
       // one transient packet while every packet's FATE (tx, drop, mark,
       // delivery) is identical. The digest therefore folds only the
-      // fate-determined kinds; gauges stay inspectable in the snapshot.
+      // counters; gauges stay inspectable in the snapshot.
       if (m.kind == telemetry::MetricKind::kGauge) continue;
-      Fold& f = fold[key];
-      f.kind = m.kind;
-      f.value += m.value;
-      f.count += m.count;
-      f.sum += m.sum;
+      std::string key = m.name;
+      for (const auto& [k, v] : m.labels) {
+        key += '|';
+        key += k;
+        key += '=';
+        key += v;
+      }
+      fold[key] += m.value;
     }
   }
   std::string out;
-  char buf[96];
-  for (const auto& [key, f] : fold) {
+  char buf[32];
+  for (const auto& [key, value] : fold) {
     // Which rows exist differs across shard counts (each shard scope's
     // flight recorder reports its own audits, all normally zero); the digest
     // keeps only rows that recorded something so it compares pure signal.
-    if (f.kind == telemetry::MetricKind::kHistogram) {
-      if (f.count == 0) continue;
-      std::snprintf(buf, sizeof buf, " %llu %.17g",
-                    static_cast<unsigned long long>(f.count), f.sum);
-    } else {
-      if (f.value == 0.0) continue;
-      std::snprintf(buf, sizeof buf, " %.17g", f.value);
-    }
+    if (value == 0.0) continue;
+    std::snprintf(buf, sizeof buf, " %.17g", value);
     out += key;
     out += buf;
     out += '\n';

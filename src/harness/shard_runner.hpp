@@ -76,9 +76,8 @@ class ShardRunner {
   [[nodiscard]] telemetry::Scope& scope(int s) { return *scope_of_[s]; }
 
   /// Deterministic fold of the run's metrics — collect_metrics over `topo`
-  /// and `faults` plus every shard scope's histograms and audits — one line
-  /// per metric sorted by (name, labels): counters sum, histograms fold
-  /// count+sum.
+  /// and `faults` plus every shard scope's flight-recorder audits — one line
+  /// per nonzero counter, sorted by (name, labels), summed across shards.
   /// Equal digests <=> every packet met the same fate (tx, drop, mark,
   /// delivery) per entity, so the determinism suite compares this string
   /// across shard/thread counts. Gauges (instantaneous-occupancy

@@ -218,8 +218,7 @@ class FlightRecorder {
     return cfg_.mode == FlightMode::kFull || uid % cfg_.sample_every == 0;
   }
 
-  /// Forget all recorded state (start of a new run); config and resolved
-  /// audit counter cells survive.
+  /// Forget all recorded state (start of a new run); the config survives.
   void reset();
 
   // --- datapath hooks -----------------------------------------------------

@@ -4,7 +4,6 @@
 
 #include "sim/logging.hpp"
 #include "sim/time.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/scope.hpp"
 #include "telemetry/trace.hpp"
 

@@ -70,91 +70,6 @@ void Histogram::reset() {
 }
 
 // ---------------------------------------------------------------------------
-// MetricsRegistry
-// ---------------------------------------------------------------------------
-
-namespace {
-std::string cell_key(MetricKind kind, const std::string& name,
-                     const Labels& labels) {
-  std::string key = kind == MetricKind::kCounter ? "c:" : "h:";
-  key += name;
-  Labels sorted = labels;
-  std::sort(sorted.begin(), sorted.end());
-  key += '{';
-  for (const auto& [k, v] : sorted) {
-    key += k;
-    key += '=';
-    key += v;
-    key += ',';
-  }
-  key += '}';
-  return key;
-}
-}  // namespace
-
-MetricsRegistry::Entry* MetricsRegistry::get_or_create(MetricKind kind,
-                                                       const std::string& name,
-                                                       const Labels& labels) {
-  const std::string key = cell_key(kind, name, labels);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    auto entry = std::make_unique<Entry>();
-    entry->name = name;
-    entry->labels = labels;
-    std::sort(entry->labels.begin(), entry->labels.end());
-    entry->kind = kind;
-    it = entries_.emplace(key, std::move(entry)).first;
-  }
-  return it->second.get();
-}
-
-Counter* MetricsRegistry::counter(const std::string& name,
-                                  const Labels& labels) {
-  return &get_or_create(MetricKind::kCounter, name, labels)->counter;
-}
-
-Histogram* MetricsRegistry::histogram(const std::string& name,
-                                      const Labels& labels) {
-  return &get_or_create(MetricKind::kHistogram, name, labels)->histogram;
-}
-
-void MetricsRegistry::reset_values() {
-  for (auto& [key, e] : entries_) {
-    e->counter.reset();
-    e->histogram.reset();
-  }
-}
-
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot snap;
-  snap.samples.reserve(entries_.size());
-  for (const auto& [key, e] : entries_) {
-    MetricSample s;
-    s.name = e->name;
-    s.labels = e->labels;
-    s.kind = e->kind;
-    if (e->kind == MetricKind::kCounter) {
-      s.value = static_cast<double>(e->counter.value());
-    } else {
-      s.count = e->histogram.count();
-      s.sum = e->histogram.sum();
-      s.min = e->histogram.min();
-      s.max = e->histogram.max();
-      s.p50 = e->histogram.percentile(50);
-      s.p99 = e->histogram.percentile(99);
-      s.value = e->histogram.mean();
-    }
-    snap.samples.push_back(std::move(s));
-  }
-  std::sort(snap.samples.begin(), snap.samples.end(),
-            [](const MetricSample& a, const MetricSample& b) {
-              if (a.name != b.name) return a.name < b.name;
-              return a.labels < b.labels;
-            });
-  return snap;
-}
-
-// ---------------------------------------------------------------------------
 // MetricsSnapshot
 // ---------------------------------------------------------------------------
 

@@ -2,9 +2,7 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -12,22 +10,9 @@
 
 namespace clove::telemetry {
 
-/// Metric label set, e.g. {{"link", "L1->S2"}, {"scheme", "clove-ecn"}}.
-/// Canonicalized (sorted by key) when used to identify a registry cell.
+/// Metric label set, e.g. {{"link", "L1->S2"}, {"scheme", "clove-ecn"}}, in
+/// key order (MetricsSnapshot::find sorts its query to match).
 using Labels = std::vector<std::pair<std::string, std::string>>;
-
-/// Monotonic counter cell. The MetricsRegistry owns its cells, which stay
-/// valid for the registry's lifetime, so a recording site resolves its cell
-/// once and does a plain add on the hot path, guarded by enabled().
-class Counter {
- public:
-  void add(std::uint64_t n = 1) { v_ += n; }
-  [[nodiscard]] std::uint64_t value() const { return v_; }
-  void reset() { v_ = 0; }
-
- private:
-  std::uint64_t v_{0};
-};
 
 /// Log-bucketed histogram: exponential buckets with kSubBuckets buckets per
 /// octave (~9% relative resolution at 8/octave), a sparse bucket map, and
@@ -62,8 +47,6 @@ class Histogram {
   double max_{0.0};
 };
 
-/// Registry cells are counters and histograms; gauges (high-watermarks) only
-/// appear in snapshots collected from component stats.
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
 /// One exported metric value.
@@ -93,35 +76,6 @@ struct MetricsSnapshot {
   /// Sum of `value` across every label set of `name` (fabric-wide totals).
   [[nodiscard]] double sum_over(const std::string& name) const;
   [[nodiscard]] Json to_json() const;
-};
-
-/// Named, labeled metric cells with get-or-create registration and a
-/// snapshot/export API, for values no component keeps itself (the TCP RTT
-/// distribution). Lookups happen once per recording site; the hot path
-/// touches only the returned cell. Values survive reset_values() as zeroed
-/// cells, so resolved pointers never dangle across runs.
-class MetricsRegistry {
- public:
-  Counter* counter(const std::string& name, const Labels& labels = {});
-  Histogram* histogram(const std::string& name, const Labels& labels = {});
-
-  /// Zero every cell (start of a run). The cells remain registered.
-  void reset_values();
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  [[nodiscard]] MetricsSnapshot snapshot() const;
-
- private:
-  struct Entry {
-    std::string name;
-    Labels labels;
-    MetricKind kind;
-    Counter counter;
-    Histogram histogram;
-  };
-  Entry* get_or_create(MetricKind kind, const std::string& name,
-                       const Labels& labels);
-
-  std::unordered_map<std::string, std::unique_ptr<Entry>> entries_;
 };
 
 }  // namespace clove::telemetry

@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
 namespace clove::telemetry {
@@ -25,12 +24,13 @@ struct ScopeSettings {
   [[nodiscard]] static ScopeSettings from_env();
 };
 
-/// One telemetry collection domain: a metrics registry plus a trace ring plus
-/// an on/off flag. Historically these were process-wide singletons; scoping
-/// them lets harness::ParallelRunner give every concurrently running sweep
-/// point its own isolated registry — no cross-thread sharing, no locks on the
-/// recording hot path — while single-threaded code keeps using the implicit
-/// process scope through current_scope().
+/// One telemetry collection domain: an on/off flag, a trace ring and a flight
+/// recorder. Scoping them lets harness::ParallelRunner give every
+/// concurrently running sweep point its own isolated ring and recorder — no
+/// cross-thread sharing, no locks on the recording hot path — while
+/// single-threaded code keeps using the implicit process scope through
+/// current_scope(). Metrics are not kept here: harness::collect_metrics
+/// reads them from the components' own stats when a snapshot is taken.
 ///
 /// A Scope is not itself thread-safe; it is installed on exactly one thread
 /// at a time via ScopeGuard.
@@ -45,7 +45,6 @@ class Scope {
   Scope(const Scope&) = delete;
   Scope& operator=(const Scope&) = delete;
 
-  [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] TraceLog& trace() { return trace_; }
 
   /// Flip collection for this scope; when the scope is current on the calling
@@ -62,11 +61,10 @@ class Scope {
   void set_flight_config(const FlightConfig& cfg);
   [[nodiscard]] const FlightConfig& flight_config() const { return flight_cfg_; }
 
-  /// Start-of-run housekeeping: zero metric values, clear the trace ring and
-  /// the flight recorder so each experiment's snapshot reflects that
-  /// experiment only. Resolved cell pointers stay valid.
+  /// Start-of-run housekeeping: clear the trace ring and the flight recorder
+  /// so each experiment's exports reflect that experiment only. The recorder
+  /// object itself survives, so a cached flight() pointer stays valid.
   void begin_run() {
-    metrics_.reset_values();
     trace_.clear();
     if (flight_) flight_->reset();
   }
@@ -78,7 +76,6 @@ class Scope {
   }
 
  private:
-  MetricsRegistry metrics_;
   TraceLog trace_;
   bool enabled_{false};
   FlightConfig flight_cfg_{};
@@ -100,8 +97,8 @@ extern constinit thread_local FlightRecorder* tl_flight;
 }  // namespace detail
 
 /// The zero-cost-when-disabled guard: one thread-local bool load. Every
-/// hot-path recording site checks this before touching a cell or building an
-/// event.
+/// hot-path recording site checks this before observing a sample or building
+/// an event.
 [[nodiscard]] inline bool enabled() { return detail::tl_enabled; }
 
 /// The thread's active flight recorder (null unless a scope with mode

@@ -6,12 +6,12 @@
 namespace clove::transport {
 
 MptcpSender::MptcpSender(VmPort& port, net::FiveTuple base_tuple,
-                         MptcpConfig cfg)
+                         MptcpConfig cfg, telemetry::Histogram* rtt_us)
     : port_(port), cfg_(cfg) {
   for (int i = 0; i < cfg_.subflows; ++i) {
     net::FiveTuple t = base_tuple;
     t.src_port = static_cast<std::uint16_t>(base_tuple.src_port + i);
-    auto sf = std::make_unique<TcpSender>(port_, t, cfg_.tcp);
+    auto sf = std::make_unique<TcpSender>(port_, t, cfg_.tcp, rtt_us);
     if (cfg_.coupled) {
       const std::size_t idx = static_cast<std::size_t>(i);
       sf->ca_increase = [this, idx](std::uint64_t acked) {

@@ -32,8 +32,10 @@ class MptcpSender {
  public:
   using Completion = std::function<void(sim::Time acked_at)>;
 
-  /// Subflow i uses src_port = base_tuple.src_port + i.
-  MptcpSender(VmPort& port, net::FiveTuple base_tuple, MptcpConfig cfg = {});
+  /// Subflow i uses src_port = base_tuple.src_port + i; every subflow
+  /// pushes its RTT samples into `rtt_us` (see TcpSender).
+  MptcpSender(VmPort& port, net::FiveTuple base_tuple, MptcpConfig cfg = {},
+              telemetry::Histogram* rtt_us = nullptr);
 
   /// Append a job of `bytes`; `done` fires when every chunk is acked.
   void write(std::uint64_t bytes, Completion done = nullptr);

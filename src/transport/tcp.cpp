@@ -5,27 +5,31 @@
 #include "prof/prof.hpp"
 #include "sim/logging.hpp"
 #include "telemetry/hub.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace clove::transport {
 
 namespace {
 constexpr sim::Time kMaxRto = 60 * sim::kSecond;
+/// Duplicate ACKs (or sacked segments) that declare the head lost.
+constexpr int kDupThresh = 3;
 }
 
 // ---------------------------------------------------------------------------
 // TcpSender
 // ---------------------------------------------------------------------------
 
-TcpSender::TcpSender(VmPort& port, net::FiveTuple tuple, TcpConfig cfg)
+TcpSender::TcpSender(VmPort& port, net::FiveTuple tuple, TcpConfig cfg,
+                     telemetry::Histogram* rtt_us)
     : port_(port),
       tuple_(tuple),
       cfg_(cfg),
       rto_timer_(port.simulator(), [this] { on_rto(); }),
       tlp_timer_(port.simulator(), [this] { on_tlp(); }),
       cwnd_(static_cast<std::uint64_t>(cfg.initial_cwnd_pkts) * cfg.mss),
-      ssthresh_(cfg.max_cwnd_bytes) {
+      ssthresh_(cfg.max_cwnd_bytes),
+      rtt_us_(rtt_us) {
   if (cfg_.dctcp) cfg_.ecn = true;
-  rtt_us_ = telemetry::current_scope().metrics().histogram("tcp.rtt_us");
 }
 
 TcpSender::~TcpSender() {
@@ -77,38 +81,24 @@ void TcpSender::restart_timers() {
 
 void TcpSender::on_tlp() {
   // Tail-loss probe: no ACK progress for ~2 RTTs with data outstanding.
-  // Outside recovery, retransmit the LAST outstanding segment: a lost tail
-  // is repaired directly, and otherwise the duplicate elicits dupacks that
-  // let fast retransmit run instead of a full RTO. Inside recovery, a stall
-  // means the retransmission itself was lost; re-send the oldest hole (what
-  // SACK-based recovery in a real stack achieves).
+  // Retransmit the LAST outstanding segment: a lost tail is repaired
+  // directly, and otherwise the duplicate's SACK elicits the dupacks that let
+  // fast retransmit run instead of a full RTO. Inside recovery, re-pump first
+  // (hole retransmissions older than the probe timeout are presumed lost
+  // again), then still probe the tail: when a whole burst above the highest
+  // SACK was dropped, the pipe model cannot see it, and only the tail
+  // probe's SACK can reveal the receiver's true state.
   if (snd_una_ >= snd_nxt_) return;
-  if (cfg_.sack) {
-    // Re-pump first (hole retransmissions older than the probe timeout are
-    // presumed lost again), then always probe the TAIL: when a whole burst
-    // above the highest SACK was dropped, the pipe model cannot see it, and
-    // only the tail probe's SACK can reveal the receiver's true state.
-    if (in_recovery_) sack_pump();
-    const std::uint64_t len =
-        std::min<std::uint64_t>(cfg_.mss, snd_nxt_ - snd_una_);
-    send_segment(snd_nxt_ - len, static_cast<std::uint32_t>(len),
-                 /*retransmit=*/true);
-  } else if (in_recovery_) {
-    send_segment(snd_una_,
-                 static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                     cfg_.mss, snd_nxt_ - snd_una_)),
-                 /*retransmit=*/true);
-  } else {
-    const std::uint64_t len =
-        std::min<std::uint64_t>(cfg_.mss, snd_nxt_ - snd_una_);
-    send_segment(snd_nxt_ - len, static_cast<std::uint32_t>(len),
-                 /*retransmit=*/true);
-  }
+  if (in_recovery_) sack_pump();
+  const std::uint64_t len =
+      std::min<std::uint64_t>(cfg_.mss, snd_nxt_ - snd_una_);
+  send_segment(snd_nxt_ - len, static_cast<std::uint32_t>(len),
+               /*retransmit=*/true);
   arm_rto();  // keep probing at PTO intervals while the stall lasts
 }
 
 void TcpSender::rtt_sample(sim::Time m) {
-  if (telemetry::enabled()) {
+  if (rtt_us_ != nullptr && telemetry::enabled()) {
     rtt_us_->observe(static_cast<double>(m) / sim::kMicrosecond);
   }
   if (srtt_ == 0) {
@@ -129,8 +119,9 @@ void TcpSender::try_send() {
   // segment so that small windows can still reach the fast-retransmit
   // threshold instead of stalling into an RTO.
   std::uint64_t cwnd = cwnd_;
-  if (cfg_.limited_transmit && !in_recovery_ && dupacks_ > 0) {
-    cwnd += static_cast<std::uint64_t>(std::min(dupacks_, 2)) * cfg_.mss;
+  if (!in_recovery_ && dupacks_ > 0) {
+    cwnd += static_cast<std::uint64_t>(std::min(dupacks_, kDupThresh - 1)) *
+            cfg_.mss;
   }
   if (snd_nxt_ == snd_una_ && snd_nxt_ < stream_end_) {
     last_progress_ = port_.simulator().now();  // starting from idle
@@ -249,30 +240,7 @@ std::uint64_t TcpSender::sacked_bytes() const {
   return total;
 }
 
-std::pair<std::uint64_t, std::uint32_t> TcpSender::next_hole() const {
-  if (sacked_.empty()) return {0, 0};
-  const sim::Time now = port_.simulator().now();
-  std::uint64_t pos = snd_una_;
-  for (const auto& [s, e] : sacked_) {
-    if (e <= pos) continue;
-    std::uint64_t h = pos;
-    while (h < s) {
-      auto rit = hole_retx_.find(h);
-      const bool recently_retx =
-          rit != hole_retx_.end() && now - rit->second < retx_lost_after();
-      if (!recently_retx) {
-        const std::uint32_t len = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>({cfg_.mss, s - h, stream_end_ - h}));
-        if (len > 0) return {h, len};
-      }
-      h += cfg_.mss;
-    }
-    pos = std::max(pos, e);
-  }
-  return {0, 0};
-}
-
-void TcpSender::enter_recovery_sack() {
+void TcpSender::enter_recovery() {
   if (hook_ != nullptr) hook_->on_loss_event(*this);
   ++stats_.fast_retransmits;
   if (telemetry::tracing()) {
@@ -291,45 +259,57 @@ void TcpSender::enter_recovery_sack() {
 void TcpSender::sack_pump() {
   // RFC 6675-style pipe: bytes believed in flight = outstanding, minus
   // sacked bytes, minus holes below the highest sack (presumed LOST — this
-  // is what lets recovery proceed), plus recent hole retransmissions.
+  // is what lets recovery proceed), plus recent hole retransmissions. One
+  // walk over the scoreboard splits every hole into mss-sized slots that are
+  // either lost (retransmittable, in order) or recently retransmitted; the
+  // loop below then moves each slot it resends from lost to retransmitted.
+  // A recently retransmitted slot is counted twice (outstanding and not
+  // lost, plus retx_inflight) — see DESIGN.md §5.
   const sim::Time now = port_.simulator().now();
-  while (true) {
-    const std::uint64_t outstanding = snd_nxt_ - snd_una_;
-    const std::uint64_t sb = sacked_bytes();
-    std::uint64_t lost = 0;
-    std::uint64_t retx_inflight = 0;
-    if (!sacked_.empty()) {
-      std::uint64_t pos = snd_una_;
-      for (const auto& [s, e] : sacked_) {
-        if (e <= pos) continue;
-        for (std::uint64_t h = pos; h < s; h += cfg_.mss) {
-          const std::uint64_t len = std::min<std::uint64_t>(cfg_.mss, s - h);
-          auto rit = hole_retx_.find(h);
-          if (rit != hole_retx_.end() && now - rit->second < retx_lost_after()) {
-            retx_inflight += len;
-          } else {
-            lost += len;
-          }
-        }
-        pos = std::max(pos, e);
+  const sim::Time lost_after = retx_lost_after();
+  std::uint64_t outstanding = snd_nxt_ - snd_una_;
+  std::uint64_t sacked = 0;
+  std::uint64_t lost = 0;
+  std::uint64_t retx_inflight = 0;
+  holes_.clear();
+  std::uint64_t pos = snd_una_;
+  for (const auto& [s, e] : sacked_) {
+    if (e <= pos) continue;
+    sacked += e - std::max(s, pos);
+    for (std::uint64_t h = pos; h < s; h += cfg_.mss) {
+      // h < s <= snd_nxt_ <= stream_end_, so the slot is all sendable.
+      const auto len =
+          static_cast<std::uint32_t>(std::min<std::uint64_t>(cfg_.mss, s - h));
+      auto rit = hole_retx_.find(h);
+      if (rit != hole_retx_.end() && now - rit->second < lost_after) {
+        retx_inflight += len;
+      } else {
+        lost += len;
+        holes_.emplace_back(h, len);
       }
     }
-    std::uint64_t pipe = outstanding > sb + lost ? outstanding - sb - lost : 0;
-    pipe += retx_inflight;
+    pos = e;
+  }
+  std::size_t next = 0;
+  while (true) {
+    const std::uint64_t pipe =
+        (outstanding > sacked + lost ? outstanding - sacked - lost : 0) +
+        retx_inflight;
     if (pipe >= cwnd_) break;
-    if (in_recovery_) {
-      const auto [hseq, hlen] = next_hole();
-      if (hlen > 0) {
-        send_segment(hseq, hlen, /*retransmit=*/true);
-        hole_retx_[hseq] = now;
-        continue;
-      }
+    if (in_recovery_ && next < holes_.size()) {
+      const auto [hseq, hlen] = holes_[next++];
+      send_segment(hseq, hlen, /*retransmit=*/true);
+      hole_retx_[hseq] = now;
+      lost -= hlen;
+      retx_inflight += hlen;
+      continue;
     }
     if (snd_nxt_ < stream_end_) {
       const std::uint32_t len = static_cast<std::uint32_t>(
           std::min<std::uint64_t>(cfg_.mss, stream_end_ - snd_nxt_));
       send_segment(snd_nxt_, len, /*retransmit=*/false);
       snd_nxt_ += len;
+      outstanding += len;
       continue;
     }
     break;
@@ -379,7 +359,7 @@ void TcpSender::on_ack(const net::TcpHeader& hdr) {
   if (ece && cfg_.ecn) ecn_reduce();
 
   if (ack < snd_una_) return;  // stale
-  if (cfg_.sack) merge_sack_blocks(hdr);
+  merge_sack_blocks(hdr);
   if (ack == snd_una_) {
     if (snd_una_ < snd_nxt_) handle_dupack();
     return;
@@ -420,16 +400,9 @@ void TcpSender::on_ack(const net::TcpHeader& hdr) {
       in_recovery_ = false;
       hole_retx_.clear();
       cwnd_ = std::max<std::uint64_t>(ssthresh_, 2ull * cfg_.mss);
-    } else if (!cfg_.sack) {
-      // NewReno partial ack: the next hole is lost too; retransmit it and
-      // deflate the window by the amount acked. (With SACK the pump below
-      // retransmits exactly the known holes instead.)
-      send_segment(snd_una_,
-                   static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                       cfg_.mss, stream_end_ - snd_una_)),
-                   /*retransmit=*/true);
-      cwnd_ = (cwnd_ > acked_bytes ? cwnd_ - acked_bytes : 0) + cfg_.mss;
     }
+    // A partial ack leaves cwnd alone; the pump below retransmits exactly
+    // the holes the scoreboard still shows.
   } else if (cwnd_ < ssthresh_) {
     cwnd_ += acked_bytes;  // slow start
   } else {
@@ -453,57 +426,20 @@ void TcpSender::on_ack(const net::TcpHeader& hdr) {
     hook_->on_clean_ack(*this, acked_bytes);
   }
 
-  if (cfg_.sack) {
-    sack_pump();
-  } else {
-    try_send();
-  }
+  sack_pump();
   if (on_progress) on_progress();
 }
 
 void TcpSender::handle_dupack() {
   ++dupacks_;
-  if (cfg_.sack) {
-    if (!in_recovery_ &&
-        (dupacks_ >= cfg_.dupack_threshold ||
-         sacked_bytes() >= 3ull * cfg_.mss)) {
-      enter_recovery_sack();
-    }
-    if (!in_recovery_ && cfg_.limited_transmit) {
-      try_send();  // limited transmit before the threshold
-    } else {
-      sack_pump();
-    }
-    return;
+  if (!in_recovery_ && (dupacks_ >= kDupThresh ||
+                        sacked_bytes() >= std::uint64_t{kDupThresh} * cfg_.mss)) {
+    enter_recovery();
   }
   if (in_recovery_) {
-    // Window inflation: each dupack signals a departed packet.
-    cwnd_ += cfg_.mss;
-    try_send();
-    return;
-  }
-  if (dupacks_ < cfg_.dupack_threshold) {
-    try_send();  // limited transmit may release a segment
-    return;
-  }
-  if (dupacks_ >= cfg_.dupack_threshold) {
-    if (hook_ != nullptr) hook_->on_loss_event(*this);
-    ++stats_.fast_retransmits;
-    if (telemetry::tracing()) {
-      telemetry::trace(telemetry::Category::kTcp, port_.simulator().now(),
-                       tuple_.to_string(), "tcp.fast_retransmit", "dupack",
-                       static_cast<double>(cwnd_), snd_una_);
-    }
-    in_recovery_ = true;
-    recover_point_ = snd_nxt_;
-    const std::uint64_t inflight = snd_nxt_ - snd_una_;
-    ssthresh_ = std::max<std::uint64_t>(inflight / 2, 2ull * cfg_.mss);
-    cwnd_ = ssthresh_ + 3ull * cfg_.mss;
-    send_segment(snd_una_,
-                 static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                     cfg_.mss, stream_end_ - snd_una_)),
-                 /*retransmit=*/true);
-    arm_rto();
+    sack_pump();
+  } else {
+    try_send();  // limited transmit before the threshold
   }
 }
 
@@ -693,18 +629,15 @@ void TcpReceiver::do_send_ack() {
     const bool echo = cfg_.dctcp ? last_pkt_ce_ : ece_latched_;
     ack->tcp.flags.ece = echo;
   }
-  if (cfg_.sack) {
-    // Attach up to 3 SACK blocks: the most recently received block first
-    // (RFC 2018), then older blocks ascending.
-    if (last_block_.end > last_block_.start &&
-        last_block_.start >= rcv_nxt_) {
-      ack->tcp.sacks[ack->tcp.sack_count++] = last_block_;
-    }
-    for (const auto& [s, e] : ooo_) {
-      if (ack->tcp.sack_count >= 3) break;
-      if (s == last_block_.start) continue;
-      ack->tcp.sacks[ack->tcp.sack_count++] = net::SackBlock{s, e};
-    }
+  // Attach up to 3 SACK blocks: the most recently received block first
+  // (RFC 2018), then older blocks ascending.
+  if (last_block_.end > last_block_.start && last_block_.start >= rcv_nxt_) {
+    ack->tcp.sacks[ack->tcp.sack_count++] = last_block_;
+  }
+  for (const auto& [s, e] : ooo_) {
+    if (ack->tcp.sack_count >= 3) break;
+    if (s == last_block_.start) continue;
+    ack->tcp.sacks[ack->tcp.sack_count++] = net::SackBlock{s, e};
   }
   port_.vm_send(std::move(ack));
 }

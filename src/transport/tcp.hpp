@@ -4,14 +4,13 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
 
 namespace clove::telemetry {
-class Counter;
 class Histogram;
 }  // namespace clove::telemetry
 
@@ -19,11 +18,13 @@ namespace clove::transport {
 
 /// Guest-VM TCP tuning knobs. Defaults model an untuned Linux stack of the
 /// paper's era (the whole point of Clove is that this stack is NOT modified).
+/// Loss recovery is not a knob: like that stack, the sender always runs
+/// SACK recovery (RFC 6675 scoreboard and pipe) with limited transmit
+/// (RFC 3042) and a duplicate-ACK threshold of 3.
 struct TcpConfig {
   std::uint32_t mss{1460};
   std::uint32_t initial_cwnd_pkts{10};
   std::uint32_t max_cwnd_bytes{4u << 20};
-  int dupack_threshold{3};
   sim::Time min_rto{200 * sim::kMillisecond};  ///< Linux default
   sim::Time initial_rtt{1 * sim::kMillisecond};
   bool ecn{false};      ///< RFC3168 inner ECN (off for a vanilla tenant)
@@ -31,13 +32,8 @@ struct TcpConfig {
   double dctcp_g{1.0 / 16.0};
   int ack_every{2};     ///< delayed-ACK ratio
   sim::Time delack_timeout{200 * sim::kMicrosecond};
-  bool limited_transmit{true};  ///< RFC 3042: new data on first dupacks
   bool tail_loss_probe{true};   ///< Linux-style TLP: probe before the RTO
   sim::Time min_tlp{1 * sim::kMillisecond};
-  /// SACK-based loss recovery (RFC 6675-style scoreboard + pipe). Always on
-  /// in the Linux stacks of the paper's testbed; disable to get classic
-  /// NewReno hole-per-RTT recovery.
-  bool sack{true};
 };
 
 struct TcpSenderStats {
@@ -50,6 +46,18 @@ struct TcpSenderStats {
   /// Head retransmits triggered by a path eviction (on_path_evicted) rather
   /// than by dupacks or the RTO — the edge-recovery fast path.
   std::uint64_t evict_repins{0};
+
+  /// Field-wise sum (aggregating senders).
+  TcpSenderStats& operator+=(const TcpSenderStats& o) {
+    bytes_sent += o.bytes_sent;
+    bytes_acked += o.bytes_acked;
+    packets_sent += o.packets_sent;
+    fast_retransmits += o.fast_retransmits;
+    timeouts += o.timeouts;
+    ecn_reductions += o.ecn_reductions;
+    evict_repins += o.evict_repins;
+    return *this;
+  }
 };
 
 /// The hypervisor-facing side of a VM vNIC: VM stacks hand packets to it,
@@ -106,10 +114,11 @@ class TcpEndpoint {
   }
 };
 
-/// One-directional TCP byte-stream sender: NewReno congestion control with
-/// fast retransmit/recovery, RTO with exponential backoff, optional RFC3168
-/// ECN reaction and optional DCTCP fractional reaction. Sequence numbers are
-/// 64-bit byte offsets (no wrap handling needed).
+/// One-directional TCP byte-stream sender: Reno congestion control with
+/// SACK-based fast retransmit/recovery, tail-loss probes, RTO with
+/// exponential backoff, optional RFC3168 ECN reaction and optional DCTCP
+/// fractional reaction. Sequence numbers are 64-bit byte offsets (no wrap
+/// handling needed).
 ///
 /// Jobs are framed as byte ranges on the persistent stream: write() appends
 /// and registers a completion callback fired when the range is fully acked —
@@ -118,7 +127,10 @@ class TcpSender : public TcpEndpoint {
  public:
   using Completion = std::function<void(sim::Time acked_at)>;
 
-  TcpSender(VmPort& port, net::FiveTuple tuple, TcpConfig cfg = {});
+  /// `rtt_us`, when set, receives every RTT sample (in µs) while telemetry
+  /// is enabled; the owner shares one histogram across its senders.
+  TcpSender(VmPort& port, net::FiveTuple tuple, TcpConfig cfg = {},
+            telemetry::Histogram* rtt_us = nullptr);
   ~TcpSender() override;
 
   /// Append `bytes` to the stream; `done` fires when the last byte is acked.
@@ -194,11 +206,8 @@ class TcpSender : public TcpEndpoint {
   // --- SACK scoreboard ---
   void merge_sack_blocks(const net::TcpHeader& hdr);
   [[nodiscard]] std::uint64_t sacked_bytes() const;
-  /// First unsacked hole at/above snd_una_ below the highest sacked byte
-  /// that has not been retransmitted this recovery; 0-length when none.
-  [[nodiscard]] std::pair<std::uint64_t, std::uint32_t> next_hole() const;
   void sack_pump();
-  void enter_recovery_sack();
+  void enter_recovery();
   void on_rto();
   void on_tlp();
   void arm_rto();
@@ -234,6 +243,8 @@ class TcpSender : public TcpEndpoint {
   std::map<std::uint64_t, std::uint64_t> sacked_;
   std::map<std::uint64_t, sim::Time> hole_retx_;
   [[nodiscard]] sim::Time retx_lost_after() const;
+  /// sack_pump's scratch: the (seq, len) holes it may retransmit, in order.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> holes_;
 
   // ECN / DCTCP.
   bool cwr_pending_{false};       ///< set CWR on next data segment
@@ -265,11 +276,8 @@ class TcpSender : public TcpEndpoint {
   TcpSenderStats stats_;
 
   // The RTT distribution is the one transport metric no stats field keeps,
-  // so it is pushed into the histogram of the telemetry scope current on the
-  // constructing thread. Every sender in a scope shares it; per-flow
-  // attribution comes from trace events instead. A member (not a
-  // function-local static) so each parallel sweep point's senders bind to
-  // that point's own scope.
+  // so it is pushed into the owner's histogram (null: not recorded).
+  // Per-flow attribution comes from trace events instead.
   telemetry::Histogram* rtt_us_;
 };
 

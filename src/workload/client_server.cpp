@@ -57,14 +57,14 @@ void ClientServerWorkload::start(std::function<void()> on_complete) {
       if (cfg_.use_mptcp) {
         transport::MptcpConfig mcfg = cfg_.mptcp;
         mcfg.tcp = cfg_.tcp;
-        conn->mptcp =
-            std::make_unique<transport::MptcpSender>(*client, tuple, mcfg);
+        conn->mptcp = std::make_unique<transport::MptcpSender>(
+            *client, tuple, mcfg, &rtt_us_);
         for (transport::TcpSender* sf : conn->mptcp->endpoints()) {
           client->register_endpoint(sf->tuple(), sf);
         }
       } else {
-        conn->tcp =
-            std::make_unique<transport::TcpSender>(*client, tuple, cfg_.tcp);
+        conn->tcp = std::make_unique<transport::TcpSender>(
+            *client, tuple, cfg_.tcp, &rtt_us_);
         client->register_endpoint(tuple, conn->tcp.get());
       }
       conns_.push_back(std::move(conn));
@@ -114,24 +114,22 @@ void ClientServerWorkload::job_done(std::uint64_t size, sim::Time arrival,
   if (jobs_done_ == jobs_total_ && on_complete_) on_complete_();
 }
 
-transport::TcpSenderStats ClientServerWorkload::transport_totals() const {
-  transport::TcpSenderStats total;
-  auto fold = [&total](const transport::TcpSenderStats& s) {
-    total.bytes_sent += s.bytes_sent;
-    total.bytes_acked += s.bytes_acked;
-    total.packets_sent += s.packets_sent;
-    total.fast_retransmits += s.fast_retransmits;
-    total.timeouts += s.timeouts;
-    total.ecn_reductions += s.ecn_reductions;
-  };
+void ClientServerWorkload::for_each_sender(
+    const std::function<void(const transport::TcpSender&)>& fn) const {
   for (const auto& conn : conns_) {
-    if (conn->tcp) fold(conn->tcp->stats());
+    if (conn->tcp) fn(*conn->tcp);
     if (conn->mptcp) {
       for (int i = 0; i < conn->mptcp->subflow_count(); ++i) {
-        fold(conn->mptcp->subflow(i).stats());
+        fn(conn->mptcp->subflow(i));
       }
     }
   }
+}
+
+transport::TcpSenderStats ClientServerWorkload::transport_totals() const {
+  transport::TcpSenderStats total;
+  for_each_sender(
+      [&total](const transport::TcpSender& s) { total += s.stats(); });
   return total;
 }
 

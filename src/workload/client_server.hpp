@@ -8,6 +8,7 @@
 
 #include "overlay/hypervisor.hpp"
 #include "stats/stats.hpp"
+#include "telemetry/metrics.hpp"
 #include "transport/mptcp.hpp"
 #include "transport/tcp.hpp"
 #include "workload/flow_size.hpp"
@@ -72,8 +73,13 @@ class ClientServerWorkload {
   [[nodiscard]] std::uint64_t jobs_done() const { return jobs_done_; }
   [[nodiscard]] std::uint64_t bytes_offered() const { return bytes_offered_; }
 
+  /// Visit every sender (MPTCP subflows included) in connection order.
+  void for_each_sender(
+      const std::function<void(const transport::TcpSender&)>& fn) const;
   /// Aggregate sender-side transport counters across all connections.
   [[nodiscard]] transport::TcpSenderStats transport_totals() const;
+  /// RTT samples (µs) of every sender, recorded while telemetry is enabled.
+  [[nodiscard]] const telemetry::Histogram& rtt_us() const { return rtt_us_; }
 
  private:
   struct Connection {
@@ -90,6 +96,7 @@ class ClientServerWorkload {
   ClientServerConfig cfg_;
   std::vector<overlay::Hypervisor*> clients_;
   std::vector<overlay::Hypervisor*> servers_;
+  telemetry::Histogram rtt_us_;  ///< shared by every sender in conns_
   std::vector<std::unique_ptr<Connection>> conns_;
   sim::Rng rng_;
 

@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <stdexcept>
+#include <string>
 
 #include "fault/fault.hpp"
 #include "harness/experiment.hpp"
@@ -362,6 +364,100 @@ TEST(Harness, CollectedMetricsMatchTheResultCounters) {
   }
   EXPECT_EQ(audits, 4);
   EXPECT_GT(pathset, 0);
+}
+
+TEST(Harness, RowsMergeOnlyOnSameNameAndLabels) {
+  // Parallel leaf-spine links share a display name, so their counters merge
+  // into one row per name; distinct labels (hosts, names) stay apart.
+  const ExperimentConfig cfg = small(Scheme::kEcmp);
+  Testbed tb(cfg);
+  tb.start_discovery();
+  workload::ClientServerWorkload ws(tb.simulator(), tb.workload_config(tiny_wl()),
+                                    tb.clients(), tb.servers());
+  ws.start([&] { tb.simulator().stop(); });
+  tb.simulator().run(cfg.max_sim_time);
+  const telemetry::MetricsSnapshot snap =
+      collect_metrics({.topology = &tb.topology()});
+
+  std::map<std::string, std::uint64_t> tx_by_name;
+  for (const auto& l : tb.topology().links()) {
+    tx_by_name[l->name()] += l->stats().tx_packets;
+  }
+  EXPECT_LT(tx_by_name.size(), tb.topology().links().size());
+  int link_rows = 0;
+  for (const telemetry::MetricSample& m : snap.samples) {
+    if (m.name == "link.tx_packets") ++link_rows;
+  }
+  EXPECT_EQ(link_rows, static_cast<int>(tx_by_name.size()));
+  double total = 0;
+  for (const auto& [name, tx] : tx_by_name) {
+    const telemetry::MetricSample* m =
+        snap.find("link.tx_packets", {{"link", name}});
+    ASSERT_NE(m, nullptr) << name;
+    EXPECT_EQ(m->value, static_cast<double>(tx)) << name;
+    total += m->value;
+  }
+  EXPECT_GT(total, 0.0);
+  int host_rows = 0;
+  for (const telemetry::MetricSample& m : snap.samples) {
+    if (m.name == "hyp.encapped") ++host_rows;
+  }
+  EXPECT_EQ(host_rows,
+            static_cast<int>(tb.clients().size() + tb.servers().size()));
+}
+
+TEST(Harness, RepeatedRunsInOneScopeSnapshotAlike) {
+  // Each run's tcp.rtt_us comes from that run's workload, so a second,
+  // identical run in the same scope reports the same histogram.
+  CollectingScope tel;
+  const ExperimentResult a = run_fct_experiment(small(Scheme::kCloveEcn),
+                                                tiny_wl());
+  const ExperimentResult b = run_fct_experiment(small(Scheme::kCloveEcn),
+                                                tiny_wl());
+  const telemetry::MetricSample* rtt = b.metrics.find("tcp.rtt_us");
+  ASSERT_NE(rtt, nullptr);
+  EXPECT_GT(rtt->count, 0u);
+  EXPECT_EQ(a.metrics.to_json().dump(), b.metrics.to_json().dump());
+}
+
+TEST(Harness, TransportTotalsSumEverySenderField) {
+  // A fabric link fails under a path-health monitor: evictions repin stalled
+  // senders, and the workload totals must carry every field of every sender.
+  ExperimentConfig cfg = small(Scheme::kCloveEcn);
+  cfg.path_health.enabled = true;
+  cfg.fault_plan.add(20 * sim::kMillisecond, fault::FaultKind::kLinkDown,
+                     "L1->S1#0");
+  Testbed tb(cfg);
+  tb.start_discovery();
+  workload::ClientServerConfig wl;
+  wl.jobs_per_conn = 20;
+  wl.conns_per_client = 2;
+  wl.load = 0.8;
+  workload::ClientServerWorkload ws(tb.simulator(), tb.workload_config(wl),
+                                    tb.clients(), tb.servers());
+  ws.start([&] { tb.simulator().stop(); });
+  tb.simulator().run(cfg.max_sim_time);
+
+  transport::TcpSenderStats sum;
+  ws.for_each_sender([&sum](const transport::TcpSender& s) {
+    const transport::TcpSenderStats& st = s.stats();
+    sum.bytes_sent += st.bytes_sent;
+    sum.bytes_acked += st.bytes_acked;
+    sum.packets_sent += st.packets_sent;
+    sum.fast_retransmits += st.fast_retransmits;
+    sum.timeouts += st.timeouts;
+    sum.ecn_reductions += st.ecn_reductions;
+    sum.evict_repins += st.evict_repins;
+  });
+  const transport::TcpSenderStats t = ws.transport_totals();
+  EXPECT_GE(sum.evict_repins, 1u) << "the failure must repin a sender";
+  EXPECT_EQ(t.bytes_sent, sum.bytes_sent);
+  EXPECT_EQ(t.bytes_acked, sum.bytes_acked);
+  EXPECT_EQ(t.packets_sent, sum.packets_sent);
+  EXPECT_EQ(t.fast_retransmits, sum.fast_retransmits);
+  EXPECT_EQ(t.timeouts, sum.timeouts);
+  EXPECT_EQ(t.ecn_reductions, sum.ecn_reductions);
+  EXPECT_EQ(t.evict_repins, sum.evict_repins);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,72 +1,94 @@
-// Tests for the telemetry metrics registry: labeled cells, histogram
-// percentile accuracy against the exact stats::Samples, snapshot export,
-// and run-to-run cell stability.
+// Tests for telemetry metrics: one row per (name, labels), histogram
+// percentile accuracy against the exact stats::Samples, snapshot lookup,
+// ordering and export, and the hub alias's run-to-run behaviour.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "harness/experiment.hpp"
+#include "net/topology.hpp"
+#include "sim/simulator.hpp"
 #include "stats/stats.hpp"
 #include "telemetry/hub.hpp"
 #include "telemetry/metrics.hpp"
+#include "test_util.hpp"
 
 namespace clove::telemetry {
 namespace {
 
+MetricSample counter(std::string name, Labels labels, double value) {
+  MetricSample s;
+  s.name = std::move(name);
+  s.labels = std::move(labels);
+  s.value = value;
+  return s;
+}
+
+// collect_metrics is the registry of a run's rows: a (name, labels) pair is
+// one cell however many components report into it. Parallel connections
+// between two nodes share a link name, so they land in the same cell.
+void send_packets(net::Link* link, int packets) {
+  for (int i = 0; i < packets; ++i) {
+    link->enqueue(testutil::make_data(testutil::tuple(10, 1), 0, 1000));
+  }
+}
+
 TEST(MetricsRegistry, SameNameSameLabelsSharesCell) {
-  MetricsRegistry reg;
-  Counter* a = reg.counter("pkts", {{"link", "L1"}});
-  Counter* b = reg.counter("pkts", {{"link", "L1"}});
-  EXPECT_EQ(a, b);
-  a->add(3);
-  EXPECT_EQ(b->value(), 3u);
-  EXPECT_EQ(reg.size(), 1u);
+  sim::Simulator sim;
+  net::Topology topo(sim);
+  net::Node* a = topo.add_host<testutil::SinkNode>("A");
+  net::Node* b = topo.add_host<testutil::SinkNode>("B");
+  net::Link* ab0 = topo.connect(a, b, {}).first;
+  net::Link* ab1 = topo.connect(a, b, {}).first;
+  ASSERT_EQ(ab0->name(), ab1->name());
+  send_packets(ab0, 2);
+  send_packets(ab1, 1);
+  sim.run();
+  const MetricsSnapshot snap = harness::collect_metrics({.topology = &topo});
+  const MetricSample* m = snap.find("link.tx_packets", {{"link", "A->B"}});
+  ASSERT_NE(m, nullptr);
+  EXPECT_EQ(m->value, 3.0);
+  int rows = 0;
+  for (const MetricSample& s : snap.samples) {
+    if (s.name == "link.tx_packets") ++rows;
+  }
+  EXPECT_EQ(rows, 2);  // A->B and B->A
 }
 
 TEST(MetricsRegistry, DistinctLabelsDistinctCells) {
-  MetricsRegistry reg;
-  Counter* a = reg.counter("pkts", {{"link", "L1"}});
-  Counter* b = reg.counter("pkts", {{"link", "L2"}});
-  Counter* c = reg.counter("pkts");
-  EXPECT_NE(a, b);
-  EXPECT_NE(a, c);
-  EXPECT_EQ(reg.size(), 3u);
+  sim::Simulator sim;
+  net::Topology topo(sim);
+  net::Node* a = topo.add_host<testutil::SinkNode>("A");
+  net::Node* b = topo.add_host<testutil::SinkNode>("B");
+  net::Node* c = topo.add_host<testutil::SinkNode>("C");
+  send_packets(topo.connect(a, b, {}).first, 2);
+  send_packets(topo.connect(a, c, {}).first, 1);
+  sim.run();
+  const MetricsSnapshot snap = harness::collect_metrics({.topology = &topo});
+  const MetricSample* ab = snap.find("link.tx_packets", {{"link", "A->B"}});
+  const MetricSample* ac = snap.find("link.tx_packets", {{"link", "A->C"}});
+  ASSERT_NE(ab, nullptr);
+  ASSERT_NE(ac, nullptr);
+  EXPECT_NE(ab, ac);
+  EXPECT_EQ(ab->value, 2.0);
+  EXPECT_EQ(ac->value, 1.0);
+  EXPECT_EQ(snap.find("link.tx_packets"), nullptr);  // no unlabeled cell
+  EXPECT_DOUBLE_EQ(snap.sum_over("link.tx_packets"), 3.0);
 }
 
-TEST(MetricsRegistry, LabelOrderIsCanonicalized) {
-  MetricsRegistry reg;
-  Counter* a = reg.counter("pkts", {{"b", "2"}, {"a", "1"}});
-  Counter* b = reg.counter("pkts", {{"a", "1"}, {"b", "2"}});
+TEST(MetricsSnapshot, FindCanonicalizesLabelOrder) {
+  MetricsSnapshot snap;
+  snap.samples.push_back(counter("pkts", {{"a", "1"}, {"b", "2"}}, 1));
+  const MetricSample* a = snap.find("pkts", {{"b", "2"}, {"a", "1"}});
+  const MetricSample* b = snap.find("pkts", {{"a", "1"}, {"b", "2"}});
+  ASSERT_NE(a, nullptr);
   EXPECT_EQ(a, b);
-}
-
-TEST(MetricsRegistry, KindsWithSameNameAreSeparate) {
-  // A counter and a histogram may share a metric name without clobbering
-  // each other (the registry keys on kind as well).
-  MetricsRegistry reg;
-  Counter* c = reg.counter("x");
-  Histogram* h = reg.histogram("x");
-  c->add(7);
-  h->observe(1.5);
-  EXPECT_EQ(c->value(), 7u);
-  EXPECT_EQ(h->count(), 1u);
-  EXPECT_EQ(reg.size(), 2u);
-}
-
-TEST(MetricsRegistry, ResetValuesKeepsPointersValid) {
-  MetricsRegistry reg;
-  Counter* c = reg.counter("pkts", {{"link", "L1"}});
-  Histogram* h = reg.histogram("lat");
-  c->add(10);
-  h->observe(1.0);
-  reg.reset_values();
-  EXPECT_EQ(reg.size(), 2u);  // cells survive, zeroed
-  EXPECT_EQ(c->value(), 0u);
-  EXPECT_EQ(h->count(), 0u);
-  c->add(1);  // the old pointer still points at the live cell
-  EXPECT_EQ(reg.counter("pkts", {{"link", "L1"}})->value(), 1u);
 }
 
 TEST(Histogram, ExactStatsAreExact) {
@@ -150,63 +172,71 @@ TEST(Histogram, NonpositiveValuesCountedNotBucketed) {
 }
 
 TEST(MetricsSnapshot, FindValueAndSum) {
-  MetricsRegistry reg;
-  reg.counter("drops", {{"link", "a"}})->add(3);
-  reg.counter("drops", {{"link", "b"}})->add(4);
-  reg.counter("depth")->add(9);
-  MetricsSnapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.samples.size(), 3u);
+  MetricsSnapshot snap;
+  snap.samples = {
+      counter("depth", {}, 9),
+      counter("drops", {{"link", "a"}}, 3),
+      counter("drops", {{"link", "b"}}, 4),
+  };
 
   const MetricSample* s = snap.find("drops", {{"link", "b"}});
   ASSERT_NE(s, nullptr);
   EXPECT_DOUBLE_EQ(s->value, 4.0);
-  EXPECT_EQ(snap.find("drops"), nullptr);  // unlabeled variant not registered
+  EXPECT_EQ(snap.find("drops"), nullptr);  // no unlabeled variant
   EXPECT_DOUBLE_EQ(snap.value_or("depth", -1.0), 9.0);
   EXPECT_DOUBLE_EQ(snap.value_or("nope", -1.0), -1.0);
   EXPECT_DOUBLE_EQ(snap.sum_over("drops"), 7.0);
 }
 
 TEST(MetricsSnapshot, DeterministicOrderAndJson) {
-  MetricsRegistry reg;
-  reg.counter("z.last")->add(1);
-  reg.counter("a.first", {{"link", "L2"}})->add(2);
-  reg.counter("a.first", {{"link", "L1"}})->add(3);
-  reg.histogram("h")->observe(2.0);
-  MetricsSnapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.samples.size(), 4u);
-  EXPECT_EQ(snap.samples[0].name, "a.first");
-  EXPECT_EQ(snap.samples[0].labels[0].second, "L1");
-  EXPECT_EQ(snap.samples[1].labels[0].second, "L2");
-  EXPECT_EQ(snap.samples[3].name, "z.last");
+  // collect_metrics sorts its rows by (name, labels) whatever order it reads
+  // the sources in; the JSON export keeps that order and round-trips.
+  harness::Testbed tb(harness::make_testbed_profile());
+  transport::TcpSenderStats tcp;
+  tcp.timeouts = 3;
+  Histogram rtt;
+  rtt.observe(2.0);
+  const MetricsSnapshot snap = harness::collect_metrics(
+      {.topology = &tb.topology(), .transport = &tcp, .rtt_us = &rtt});
+  ASSERT_GT(snap.samples.size(), 4u);
+  std::size_t timeouts = 0;
+  std::size_t hist = 0;
+  for (std::size_t i = 0; i < snap.samples.size(); ++i) {
+    const MetricSample& m = snap.samples[i];
+    if (i > 0) {
+      const MetricSample& prev = snap.samples[i - 1];
+      EXPECT_LT(std::tie(prev.name, prev.labels), std::tie(m.name, m.labels));
+    }
+    if (m.name == "tcp.timeouts") timeouts = i;
+    if (m.name == "tcp.rtt_us") hist = i;
+  }
+  EXPECT_EQ(snap.samples[0].name, "hyp.ce_intercepted");
 
   Json j = snap.to_json();
-  ASSERT_EQ(j.size(), 4u);
-  EXPECT_EQ(j[0]["name"].as_string(), "a.first");
-  EXPECT_EQ(j[0]["labels"]["link"].as_string(), "L1");
-  EXPECT_EQ(j[0]["type"].as_string(), "counter");
-  EXPECT_DOUBLE_EQ(j[0]["value"].as_number(), 3.0);
-  EXPECT_EQ(j[2]["type"].as_string(), "histogram");
-  EXPECT_DOUBLE_EQ(j[2]["count"].as_number(), 1.0);
+  ASSERT_EQ(j.size(), snap.samples.size());
+  EXPECT_EQ(j[0]["labels"]["host"].as_string(), snap.samples[0].labels[0].second);
+  EXPECT_EQ(j[timeouts]["type"].as_string(), "counter");
+  EXPECT_DOUBLE_EQ(j[timeouts]["value"].as_number(), 3.0);
+  EXPECT_EQ(j[hist]["type"].as_string(), "histogram");
+  EXPECT_DOUBLE_EQ(j[hist]["count"].as_number(), 1.0);
   // The export parses back (artifact consumers round-trip it).
   std::string err;
   Json back = Json::parse(j.dump(2), &err);
   EXPECT_TRUE(err.empty()) << err;
-  EXPECT_EQ(back.size(), 4u);
+  EXPECT_EQ(back.size(), snap.samples.size());
 }
 
 TEST(Hub, BeginRunZeroesWithoutInvalidating) {
   Scope& h = hub();
   const bool was = h.is_enabled();
   h.set_enabled(true);
-  Counter* c = h.metrics().counter("test.hub.counter");
-  c->add(5);
+  TraceLog& ring = h.trace();
   trace(Category::kQueue, 10, "n", "e");
-  EXPECT_GE(h.trace().size(), 1u);
+  EXPECT_GE(ring.size(), 1u);
   h.begin_run();
-  EXPECT_EQ(c->value(), 0u);
-  EXPECT_EQ(h.trace().size(), 0u);
-  if (telemetry::enabled()) c->add();  // the instrumented-site idiom
-  EXPECT_EQ(c->value(), 1u);
+  EXPECT_EQ(ring.size(), 0u);
+  if (telemetry::enabled()) trace(Category::kQueue, 11, "n", "e");
+  EXPECT_EQ(h.trace().size(), 1u);  // the same ring, recording again
   h.set_enabled(was);
   h.begin_run();
 }

@@ -79,8 +79,8 @@ TEST(ParallelRunner, ThreadsEnvKnobIsHonored) {
 
 TEST(ParallelRunner, TasksGetIsolatedTelemetryScopes) {
   // Each task records into a fresh scope inheriting the submitter's
-  // settings; the submitter's own registry must stay untouched, and each
-  // task sees only its own counts.
+  // settings; the submitter's own trace ring must stay untouched, and each
+  // task sees only its own events.
   telemetry::Scope outer{telemetry::ScopeSettings{true,
                                                   telemetry::TraceLog::kDefaultCapacity,
                                                   telemetry::kAllCategories}};
@@ -91,18 +91,20 @@ TEST(ParallelRunner, TasksGetIsolatedTelemetryScopes) {
     fns.push_back([i]() -> double {
       EXPECT_NE(&telemetry::current_scope(), nullptr);
       EXPECT_TRUE(telemetry::enabled());  // inherited from the submitter
-      auto* c = telemetry::hub().metrics().counter("test.parallel");
-      c->add(static_cast<std::uint64_t>(i) + 1);
-      return static_cast<double>(c->value());
+      for (int n = 0; n <= i; ++n) {
+        telemetry::trace(telemetry::Category::kWeight, n, "task",
+                         "test.parallel");
+      }
+      return static_cast<double>(telemetry::current_scope().trace().size());
     });
   }
   const auto out = runner.map<double>(std::move(fns));
   for (int i = 0; i < 8; ++i) {
     EXPECT_DOUBLE_EQ(out[static_cast<std::size_t>(i)], i + 1.0)
-        << "task saw counts from another task's scope";
+        << "task saw events from another task's scope";
   }
-  // The submitter's registry never saw the cell at all.
-  EXPECT_EQ(outer.metrics().snapshot().find("test.parallel"), nullptr);
+  // The submitter's ring never saw an event at all.
+  EXPECT_EQ(outer.trace().size(), 0u);
 }
 
 // --- end-to-end determinism ------------------------------------------------

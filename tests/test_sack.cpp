@@ -87,17 +87,8 @@ TEST_F(SackReceiver, BlocksClearWhenGapFills) {
   EXPECT_EQ(last_ack().sack_count, 0);
 }
 
-TEST_F(SackReceiver, DisabledSackSendsNoBlocks) {
-  TcpConfig cfg;
-  cfg.sack = false;
-  cfg.ack_every = 1;
-  rx = std::make_unique<TcpReceiver>(port, tuple(1, 2).reversed(), cfg);
-  deliver(2000);
-  EXPECT_EQ(last_ack().sack_count, 0);
-}
-
 // ---------------------------------------------------------------------------
-// End-to-end recovery comparisons over a lossy pipe
+// End-to-end recovery over a lossy pipe
 // ---------------------------------------------------------------------------
 
 class SackPipe : public ::testing::Test {
@@ -135,10 +126,9 @@ class SackPipe : public ::testing::Test {
   }
 
   /// Returns completion time of a 3MB transfer under the configured losses.
-  sim::Time run_transfer(bool sack) {
+  sim::Time run_transfer() {
     TcpConfig cfg;
     cfg.min_rto = 50 * sim::kMillisecond;
-    cfg.sack = sack;
     TcpSender tx(*a, tuple(1, 2), cfg);
     TcpReceiver rx(*b, tuple(1, 2).reversed(), cfg);
     tx_ep = &tx;
@@ -165,29 +155,14 @@ class SackPipe : public ::testing::Test {
 TEST_F(SackPipe, RecoversBurstLossWithoutRto) {
   burst_start = 100;
   burst_len = 40;  // a 40-packet contiguous hole
-  const sim::Time t = run_transfer(true);
+  const sim::Time t = run_transfer();
   ASSERT_GT(t, 0);
   EXPECT_EQ(timeouts, 0u);
 }
 
-TEST_F(SackPipe, SackBeatsNewRenoOnBurstLoss) {
-  burst_start = 100;
-  burst_len = 40;
-  const sim::Time with_sack = run_transfer(true);
-  data_seen = 0;
-  SetUp();
-  burst_start = 100;
-  burst_len = 40;
-  const sim::Time without = run_transfer(false);
-  ASSERT_GT(with_sack, 0);
-  ASSERT_GT(without, 0);
-  // NewReno repairs ~one hole per RTT; SACK retransmits them in parallel.
-  EXPECT_LT(with_sack, without);
-}
-
 TEST_F(SackPipe, PeriodicLossStillCompletes) {
   drop_every = 13;
-  const sim::Time t = run_transfer(true);
+  const sim::Time t = run_transfer();
   EXPECT_GT(t, 0);
 }
 
@@ -196,7 +171,7 @@ TEST_F(SackPipe, TailBurstRepairedByProbe) {
   // 2000-2055 of ~2055): recovery must come from tail probes, not RTO.
   burst_start = 2000;
   burst_len = 100;
-  const sim::Time t = run_transfer(true);
+  const sim::Time t = run_transfer();
   ASSERT_GT(t, 0);
   EXPECT_EQ(timeouts, 0u);
   EXPECT_LT(t, 50 * sim::kMillisecond);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 
 #include "telemetry/hub.hpp"
@@ -56,21 +57,38 @@ TEST(Scope, SetEnabledUpdatesHotPathFlagWhenCurrent) {
   EXPECT_FALSE(enabled());
 }
 
+/// Settings for a scope whose flight recorder keeps every journey.
+ScopeSettings flight_full() {
+  ScopeSettings s;
+  s.enabled = true;
+  s.flight.mode = FlightMode::kFull;
+  return s;
+}
+
+/// Count `n` ECN-masking audit violations in the current scope's recorder
+/// (the clove.audit.ecn_mask metric), without the stderr report.
+void flag_ecn_mask(int n) {
+  flight()->set_fail_handler([](const char*, const std::string&) {});
+  for (int i = 0; i < n; ++i) flight()->on_ecn_to_vm(false);
+}
+
 TEST(Scope, MetricsAreIsolatedPerScope) {
-  Scope a;
-  Scope b;
+  // The clove.audit.* rows of a snapshot are read from the current scope's
+  // flight recorder, so each scope must count only its own violations.
+  Scope a{flight_full()};
+  Scope b{flight_full()};
   {
     ScopeGuard g(a);
-    hub().metrics().counter("scope.test")->add(3);
+    flag_ecn_mask(3);
   }
   {
     ScopeGuard g(b);
-    auto* c = hub().metrics().counter("scope.test");
-    EXPECT_EQ(c->value(), 0u) << "scopes must not share registries";
+    EXPECT_EQ(flight()->audit().ecn_mask, 0u)
+        << "scopes must not share flight recorders";
   }
   {
     ScopeGuard g(a);
-    EXPECT_EQ(hub().metrics().counter("scope.test")->value(), 3u);
+    EXPECT_EQ(flight()->audit().ecn_mask, 3u);
   }
 }
 
@@ -111,13 +129,19 @@ TEST(Scope, TraceRecordsIntoCurrentScopeOnly) {
 }
 
 TEST(Scope, BeginRunClearsValuesButKeepsCells) {
-  Scope s;
+  Scope s{flight_full()};
   ScopeGuard g(s);
-  auto* c = hub().metrics().counter("scope.begin_run");
-  c->add(5);
-  hub().begin_run();
-  EXPECT_EQ(c->value(), 0u);  // same cell, zeroed
-  EXPECT_EQ(hub().metrics().counter("scope.begin_run"), c);
+  FlightRecorder* fr = flight();
+  flag_ecn_mask(5);
+  trace(Category::kWeight, 1, "node", "event");
+  ASSERT_EQ(fr->audit().ecn_mask, 5u);
+  ASSERT_EQ(s.trace().size(), 1u);
+  s.begin_run();
+  EXPECT_EQ(flight(), fr);  // same recorder, zeroed
+  EXPECT_EQ(fr->audit().ecn_mask, 0u);
+  EXPECT_EQ(s.trace().size(), 0u);
+  flag_ecn_mask(1);  // the cached pointer still records into the scope
+  EXPECT_EQ(s.flight_recorder()->audit().ecn_mask, 1u);
 }
 
 TEST(Scope, EachThreadFallsBackToTheProcessScope) {

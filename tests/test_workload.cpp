@@ -165,7 +165,7 @@ TEST(IncastWorkload, FanoutOneIsNearLineRate) {
   ic.total_bytes = 4'000'000;
   ic.requests = 3;
   const double gbps = harness::run_incast_experiment(cfg, ic);
-  EXPECT_GT(gbps, 3.0);  // a single NewReno stream with shallow buffers
+  EXPECT_GT(gbps, 3.0);  // a single TCP stream with shallow buffers
 }
 
 TEST(IncastWorkload, RequestsAreSequential) {
