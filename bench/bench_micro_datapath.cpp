@@ -271,6 +271,36 @@ void BM_EventChain(benchmark::State& state) {
 }
 BENCHMARK(BM_EventChain);
 
+void BM_TimerRearm(benchmark::State& state) {
+  // The guest TCP's per-ACK pattern: each event schedules the next one 1 us
+  // ahead and re-arms an RTO-like timer 200 ms ahead. The pending next event
+  // always sits in front of the cancelled firings, so none of them surfaces
+  // until it comes due 200k events later; the queue must sweep them out
+  // itself.
+  struct Chain {
+    sim::Simulator& sim;
+    sim::Timer rto{sim, [] {}};
+    std::uint64_t fired = 0;
+    void step() {
+      ++fired;
+      rto.schedule_in(200 * sim::kMillisecond);
+      sim.schedule_in(sim::kMicrosecond, [this] { step(); });
+    }
+  };
+  sim::Simulator sim;
+  Chain chain{sim};
+  chain.step();
+  sim::Time t = 0;
+  const std::uint64_t a0 = alloc_count();
+  for (auto _ : state) {
+    t += sim::kMicrosecond;
+    sim.run(t);
+  }
+  report_events(state, alloc_count() - a0);
+  benchmark::DoNotOptimize(chain.fired);
+}
+BENCHMARK(BM_TimerRearm);
+
 void BM_PacketEvent_Pooled(benchmark::State& state) {
   // The steady-state datapath op: acquire a pooled packet, schedule an event
   // owning it (inline in the SmallFn buffer), fire it, packet returns to the

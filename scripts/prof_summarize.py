@@ -8,7 +8,8 @@ emits (stdlib only — runs in CI before anything is installed):
 
 * ``*.json`` bench artifacts whose ``engine.self_profile`` section carries
   per-scope time attribution, engine gauges (events, queue high-water,
-  packet-pool churn, peak RSS) and FlatMap table digests;
+  packet-pool churn) and FlatMap table digests, printed with the
+  artifact's own ``engine.peak_rss_mb``;
 * ``PROF_*.folded`` folded-stack flamegraph lines (``clove;a;b <self_ns>``),
   ready for inferno/flamegraph.pl — the top stacks are printed here;
 * ``PROF_*_trace.json`` Chrome trace-event files (chrome://tracing or
@@ -47,8 +48,11 @@ def fmt_ns(ns):
     return f"{ns:.0f} ns"
 
 
-def summarize_profile(tag, sp, top, problems, max_sync_frac=1.0):
-    """Print one self_profile section; append strict violations to problems."""
+def summarize_profile(tag, sp, top, problems, max_sync_frac=1.0,
+                      peak_rss_mb=None):
+    """Print one self_profile section; append strict violations to problems.
+    peak_rss_mb is the artifact's own engine.peak_rss_mb (the self-profile
+    does not carry the process RSS)."""
     mode = sp.get("mode", "?")
     overflows = sp.get("stack_overflows", 0)
     total_self = sp.get("profiled_self_ns", 0)
@@ -60,8 +64,9 @@ def summarize_profile(tag, sp, top, problems, max_sync_frac=1.0):
               f"{eng.get('queue_hwm', 0):,.0f}, slab "
               f"{eng.get('event_slab_capacity', 0):,.0f}, pool "
               f"{eng.get('pool_allocated', 0):,.0f} alloc / "
-              f"{eng.get('pool_reused', 0):,.0f} reused, peak rss "
-              f"{eng.get('peak_rss_mb', 0):.1f} MB")
+              f"{eng.get('pool_reused', 0):,.0f} reused"
+              + (f", peak rss {peak_rss_mb:.1f} MB"
+                 if peak_rss_mb is not None else ""))
     scopes = sp.get("scopes", [])
     ranked = sorted(scopes, key=lambda s: -s.get("self_ns", 0))
     if ranked:
@@ -208,13 +213,17 @@ def main(argv):
             except (OSError, json.JSONDecodeError):
                 continue  # not ours (journey JSONL etc.)
             sp = None
+            rss = None
             if isinstance(doc, dict):
-                sp = doc.get("engine", {}).get("self_profile") \
-                    if isinstance(doc.get("engine"), dict) else None
+                eng = doc.get("engine")
+                if isinstance(eng, dict):
+                    sp = eng.get("self_profile")
+                    rss = eng.get("peak_rss_mb")
                 if sp is None and "profiled_self_ns" in doc:
                     sp = doc  # a bare self-profile dump
             if sp is not None:
-                summarize_profile(name, sp, top, problems, max_sync_frac)
+                summarize_profile(name, sp, top, problems, max_sync_frac,
+                                  rss)
                 profiles += 1
         elif name.startswith("PROF_") and name.endswith(".folded"):
             summarize_folded(path, top, problems)

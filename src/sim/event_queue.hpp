@@ -26,13 +26,23 @@ struct EventId {
 /// slot}; callbacks live in a slab of reusable nodes addressed by slot, so
 /// heap sifts move 24-byte PODs and the steady state performs zero heap
 /// allocations (SmallFn keeps capture-light callbacks inline, and drained
-/// slots are recycled through a freelist). Cancellation is lazy in the heap
-/// (the POD entry is skipped when it surfaces) but eager in the slab: the
-/// callback is destroyed immediately — releasing captured resources such as
-/// packets — and `size()` counts only live events.
+/// slots are recycled through a freelist). Cancellation is eager in the slab
+/// — the callback is destroyed immediately, releasing captured resources
+/// such as packets, and `size()` counts only live events — and lazy in the
+/// heap, within a bound: a cancelled entry is skipped when it surfaces, and
+/// once the cancelled entries outnumber the live events by kCompactSlack a
+/// compaction sweeps them all out. The heap and slab therefore never hold
+/// more than 2 * max_live() + kCompactSlack entries, however far ahead the
+/// cancelled events were due (a re-armed 200 ms RTO would otherwise sit in
+/// the heap for 200 ms of simulated time).
 class EventQueue {
  public:
   using Callback = SmallFn;
+
+  /// How many more cancelled than live entries the heap may hold before
+  /// compact() sweeps them out. A fixed constant, large enough that the
+  /// sweep's O(heap) cost amortizes to O(1) per cancel.
+  static constexpr std::size_t kCompactSlack = 256;
 
   /// Schedule `cb` at absolute time `at`. Returns a handle for cancellation.
   /// Takes the callback by rvalue reference so it is moved exactly once, into
@@ -58,8 +68,8 @@ class EventQueue {
 
   /// Cancel a previously scheduled event. Cancelling an already-fired event
   /// (or a handle whose slot was since reused) is a no-op. The callback is
-  /// destroyed immediately; only the POD heap entry lingers until it
-  /// surfaces.
+  /// destroyed immediately; the POD heap entry lingers until it surfaces or
+  /// the next compaction.
   void cancel(EventId id) {
     if (!id.valid() || id.slot >= nodes_.size()) return;
     Node& n = nodes_[id.slot];
@@ -67,6 +77,7 @@ class EventQueue {
     n.cancelled = true;
     n.cb = Callback{};
     --live_;
+    if (++stale_ > live_ + kCompactSlack) compact();
   }
 
   [[nodiscard]] bool empty() const { return live_ == 0; }
@@ -109,8 +120,9 @@ class EventQueue {
     return true;
   }
 
-  /// Nodes ever allocated in the slab — a high-watermark of concurrently
-  /// scheduled events, exposed so tests can pin slot recycling.
+  /// Nodes ever allocated in the slab — a high-watermark of live plus
+  /// not-yet-swept cancelled events (at most 2 * max_live() +
+  /// kCompactSlack), exposed so tests can pin slot recycling.
   [[nodiscard]] std::size_t slab_capacity() const { return nodes_.size(); }
 
   /// Most live events ever pending at once (counts cancelled entries out,
@@ -149,13 +161,33 @@ class EventQueue {
   }
 
   /// Drop cancelled entries from the top of the heap. Invariant: a heap
-  /// entry's slot is recycled only here or in run_next(), so entry.seq ==
-  /// node.seq until the entry is popped.
+  /// entry's slot is recycled only here, in compact() or in
+  /// run_next_until(), each time together with removing the entry, so
+  /// entry.seq == node.seq while the entry is in the heap.
   void skim() {
     while (!heap_.empty() && nodes_[heap_.front().slot].cancelled) {
       release(heap_.front().slot);
       heap_pop();
+      --stale_;
     }
+  }
+
+  /// Remove every cancelled entry, releasing its slot, and rebuild the heap
+  /// bottom-up (Floyd). Pop order depends only on (at, seq), a strict total
+  /// order, so the rebuilt layout fires the same events in the same order.
+  void compact() {
+    std::size_t kept = 0;
+    for (const Entry& e : heap_) {
+      if (nodes_[e.slot].cancelled) {
+        release(e.slot);
+      } else {
+        heap_[kept++] = e;
+      }
+    }
+    heap_.resize(kept);
+    stale_ = 0;
+    // (kept + 2) / 4 is one past the last node with a child.
+    for (std::size_t i = (kept + 2) >> 2; i-- > 0;) sift_down(i, heap_[i]);
   }
 
   // The heap is 4-ary rather than binary: half the sift depth per push/pop,
@@ -176,9 +208,12 @@ class EventQueue {
   void heap_pop() {
     const Entry last = heap_.back();
     heap_.pop_back();
+    if (!heap_.empty()) sift_down(0, last);
+  }
+
+  /// Place `e` at position `i` or below, moving earlier children up.
+  void sift_down(std::size_t i, const Entry e) {
     const std::size_t n = heap_.size();
-    if (n == 0) return;
-    std::size_t i = 0;
     for (;;) {
       const std::size_t first_child = (i << 2) + 1;
       if (first_child >= n) break;
@@ -187,11 +222,11 @@ class EventQueue {
       for (std::size_t c = first_child + 1; c < end; ++c) {
         if (earlier(heap_[c], heap_[best])) best = c;
       }
-      if (!earlier(heap_[best], last)) break;
+      if (!earlier(heap_[best], e)) break;
       heap_[i] = heap_[best];
       i = best;
     }
-    heap_[i] = last;
+    heap_[i] = e;
   }
 
   std::vector<Entry> heap_;
@@ -199,6 +234,7 @@ class EventQueue {
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_{0};
   std::size_t live_{0};
+  std::size_t stale_{0};  ///< cancelled entries still in the heap
   std::size_t max_live_{0};
 };
 

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <functional>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -339,6 +343,20 @@ TEST(Timer, DeadlineReflectsPendingFiring) {
   EXPECT_EQ(t.deadline(), 25);
 }
 
+// Pins the fix for a past deadline: a negative delay fires now, and
+// deadline() used to report now + delay, a time already gone.
+TEST(Timer, NegativeDelayDeadlineIsNow) {
+  Simulator sim;
+  Time fired_at = -1;
+  Timer t(sim, [&] { fired_at = sim.now(); });
+  sim.schedule_in(50, [&] {
+    t.schedule_in(-10);
+    EXPECT_EQ(t.deadline(), 50);
+  });
+  sim.run();
+  EXPECT_EQ(fired_at, 50);
+}
+
 // Pins the fix for a stale-deadline bug: cancel() (and firing) used to leave
 // deadline() reporting the old absolute time.
 TEST(Timer, DeadlineClearsOnCancelAndFire) {
@@ -451,6 +469,123 @@ TEST(EventQueue, MaxLiveTracksHighWaterNotCurrentSize) {
   EXPECT_EQ(q.max_live(), 8u);
   for (int i = 0; i < 6; ++i) q.schedule(200 + i, [] {});
   EXPECT_EQ(q.max_live(), 9u);
+}
+
+// --- compaction of cancelled heap entries ----------------------------------
+
+TEST(EventQueue, CompactionKeepsFireOrder) {
+  // Differential check: seeded random schedules, cancels (of pending, fired
+  // and slot-reused handles) and timer re-arms, with many time ties, must
+  // fire exactly as a reference ordered by (time, insertion). Re-arms go up
+  // to 10 us ahead while the clock crawls, so most cancelled entries leave
+  // the heap only through compaction — the slab bound below holds only if
+  // compactions ran.
+  Simulator sim;
+  Rng rng(2017);
+  using Key = std::pair<Time, std::uint64_t>;  // (time, insertion label)
+  std::set<Key> model;
+  std::vector<std::uint64_t> fired;
+  std::vector<std::uint64_t> expected;
+  std::uint64_t next_label = 1;  // 0 marks a timer never armed
+  std::vector<std::pair<EventId, Key>> handles;
+
+  constexpr std::size_t kTimers = 16;
+  std::array<Key, kTimers> timer_key{};
+  std::vector<std::unique_ptr<Timer>> timers;
+  for (std::size_t k = 0; k < kTimers; ++k) {
+    timers.push_back(std::make_unique<Timer>(
+        sim, [&fired, &timer_key, k] { fired.push_back(timer_key[k].second); }));
+  }
+  auto run_until = [&](Time until) {
+    sim.run(until);
+    while (!model.empty() && model.begin()->first <= until) {
+      expected.push_back(model.begin()->second);
+      model.erase(model.begin());
+    }
+  };
+
+  for (int step = 0; step < 60000; ++step) {
+    const double op = rng.uniform();
+    if (op < 0.3) {
+      const Key key{sim.now() + rng.uniform_int(0, 40), next_label++};
+      const EventId id = sim.schedule_at(
+          key.first, [&fired, label = key.second] { fired.push_back(label); });
+      model.insert(key);
+      handles.emplace_back(id, key);
+    } else if (op < 0.5) {
+      // Any handle ever issued: pending ones cancel, fired or reused ones
+      // must not.
+      if (handles.empty()) continue;
+      const auto& [id, key] = handles[rng.uniform_int(handles.size())];
+      sim.cancel(id);
+      model.erase(key);
+    } else if (op < 0.95) {
+      const std::size_t k = rng.uniform_int(std::uint64_t{kTimers});
+      model.erase(timer_key[k]);
+      const Time delay = rng.uniform_int(0, 10'000);
+      timer_key[k] = Key{sim.now() + delay, next_label++};
+      timers[k]->schedule_in(delay);
+      model.insert(timer_key[k]);
+    } else {
+      run_until(sim.now() + rng.uniform_int(0, 30));
+    }
+    ASSERT_EQ(sim.pending_events(), model.size()) << "step " << step;
+    ASSERT_LE(sim.queue_slab_capacity(),
+              2 * sim.queue_high_water() + EventQueue::kCompactSlack)
+        << "step " << step;
+  }
+  run_until(kTimeNever);
+  EXPECT_GT(fired.size(), 10'000u);
+  EXPECT_EQ(fired, expected);
+}
+
+TEST(EventQueue, RearmedTimerKeepsSlabBounded) {
+  // The guest TCP's RTO pattern: every step of a 100k-event chain, 1 us
+  // apart, re-arms a timer 200 ms ahead, so no cancelled firing ever
+  // surfaces during the chain. Without compaction the slab grows to one
+  // node per re-arm.
+  Simulator sim;
+  Timer rto(sim, [] {});
+  int steps = 0;
+  std::function<void()> step = [&] {
+    rto.schedule_in(200 * kMillisecond);
+    if (++steps < 100'000) sim.schedule_in(kMicrosecond, [&] { step(); });
+  };
+  sim.schedule_in(0, [&] { step(); });
+  sim.run(100 * kMillisecond);
+  EXPECT_EQ(steps, 100'000);
+  EXPECT_EQ(sim.queue_high_water(), 2u);
+  EXPECT_LE(sim.queue_slab_capacity(),
+            2 * sim.queue_high_water() + EventQueue::kCompactSlack);
+  sim.run();
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(EventQueue, StaleCancelAfterCompactionReuseIsNoop) {
+  // Cancelling kCompactSlack + 2 far-future events compacts on the last
+  // cancel, releasing every slot; a new event then reuses one. The victim's
+  // old handle for that slot must cancel nothing.
+  EventQueue q;
+  std::vector<EventId> victims;
+  for (std::size_t i = 0; i < EventQueue::kCompactSlack + 2; ++i) {
+    victims.push_back(q.schedule(1'000'000 + static_cast<Time>(i), [] {}));
+  }
+  for (const EventId id : victims) q.cancel(id);
+  EXPECT_TRUE(q.empty());
+  const std::size_t slab = q.slab_capacity();
+
+  int fired = 0;
+  const EventId fresh = q.schedule(10, [&] { ++fired; });
+  EXPECT_EQ(q.slab_capacity(), slab);  // a released slot was reused
+  const auto stale = std::find_if(
+      victims.begin(), victims.end(),
+      [&](const EventId& v) { return v.slot == fresh.slot; });
+  ASSERT_NE(stale, victims.end());
+  q.cancel(*stale);
+  for (const EventId id : victims) q.cancel(id);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.run_next(), 10);
+  EXPECT_EQ(fired, 1);
 }
 
 TEST(EventQueue, MoveOnlyCaptures) {
