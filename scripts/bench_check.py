@@ -29,12 +29,12 @@ carries (stdlib only — this runs in CI before anything is installed):
   throughput floor (baseline * (1 - tol)).
 
 * Recovery times (``*.recovery_ms``, the fault-recovery bench): these are
-  *simulated* milliseconds, so machine speed does not enter at all — only
-  the relative tolerance plus a one-bucket absolute slack (RECOVERY_SLACK_MS)
-  for bucket-boundary jitter. A baseline < 0 means the scheme never
-  recovered (by design for ECMP) and the row is informational; a current
-  value < 0 against a recovering baseline is a hard FAIL — the scheme lost
-  its ability to recover, which no tolerance forgives.
+  *simulated* milliseconds from a deterministic run, so machine speed does
+  not enter at all and the current value must equal the baseline exactly —
+  a move in either direction is a behaviour change and lands as a
+  deliberate re-baseline. A baseline < 0 means the scheme never recovered
+  (by design for ECMP) and the row is informational; a current value < 0
+  against a recovering baseline is a FAIL like any other mismatch.
 
 * Memory ceilings (``*.rss_mb``, the scale bench and the per-artifact engine
   gauge): current peak RSS must stay under baseline * (1 + tol) +
@@ -62,7 +62,6 @@ import sys
 
 ALLOC_SLACK = 0.01  # absolute allocs-per-event slack for amortized housekeeping
 RATIO_SLACK = 0.02  # absolute band for same-run A/B overhead ratios
-RECOVERY_SLACK_MS = 50.0  # one FCT bucket of boundary jitter for recovery times
 RSS_SLACK_MB = 32.0  # absolute peak-RSS slack for allocator/page-size drift
 DEFAULT_TOLERANCE = 0.25
 
@@ -142,11 +141,9 @@ def check_one(name, b, c, tol, ratio_slack=RATIO_SLACK):
             # Baseline never recovers (ECMP has no edge state to repair);
             # nothing to hold the current run to.
             return ("info", f"{c:.6g} (baseline never recovers)")
-        ceil = b * (1.0 + tol) + RECOVERY_SLACK_MS
-        bad = c < 0 or c > ceil
         shown = "never" if c < 0 else f"{c:.6g}"
-        return ("FAIL" if bad else "ok",
-                f"{shown} (baseline {b:.6g}, ceiling {ceil:.6g})")
+        return ("FAIL" if c != b else "ok",
+                f"{shown} (baseline {b:.6g}, must match exactly)")
     # No family matched: say so out loud instead of silently skipping, so a
     # renamed metric is visible in the CI log rather than unenforced.
     return ("info", f"{c:.6g} (baseline {b:.6g}, no rule; informational)")

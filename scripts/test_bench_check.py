@@ -100,9 +100,17 @@ class TestCheckOne(unittest.TestCase):
     def test_recovery(self):
         n = "x.recovery_ms"
         self.assertEqual(self.status(n, -1.0, 500.0), "info")  # never-recover baseline
-        self.assertEqual(self.status(n, 100.0, 150.0), "ok")   # under 125 + 50 slack
-        self.assertEqual(self.status(n, 100.0, 180.0), "FAIL")
+        self.assertEqual(self.status(n, 400.0, 400.0), "ok")
         self.assertEqual(self.status(n, 100.0, -1.0), "FAIL")  # lost recovery
+
+    def test_recovery_is_exact_in_both_directions(self):
+        # Simulated, deterministic values: one bucket later or earlier is a
+        # behaviour change, and no tolerance setting widens the rule.
+        n = "clove_int.recovery_ms"
+        self.assertEqual(self.status(n, 400.0, 450.0), "FAIL")
+        self.assertEqual(self.status(n, 400.0, 350.0), "FAIL")
+        self.assertEqual(self.status(n, 300.0, 350.0), "FAIL")
+        self.assertEqual(bc.check_one(n, 400.0, 400.5, 0.99)[0], "FAIL")
 
     def test_unknown_name_is_info_not_silent(self):
         status, detail = bc.check_one("x.pool_allocated", 5.0, 9.0, self.TOL)
