@@ -18,9 +18,9 @@
 
 #include "bench_common.hpp"
 #include "lb/clove_ecn.hpp"
-#include "lb/clove_int.hpp"
 #include "lb/ecmp.hpp"
 #include "lb/edge_flowlet.hpp"
+#include "lb/least_signal.hpp"
 #include "lb/presto.hpp"
 #include "net/packet_pool.hpp"
 #include "overlay/flowlet.hpp"
@@ -142,7 +142,7 @@ void BM_PickPort_CloveEcn(benchmark::State& state) {
 BENCHMARK(BM_PickPort_CloveEcn);
 
 void BM_PickPort_CloveInt(benchmark::State& state) {
-  lb::CloveIntPolicy p;
+  lb::LeastSignalPolicy p(lb::kIntUtilization);
   run_policy_bench(state, p, true);
 }
 BENCHMARK(BM_PickPort_CloveInt);

@@ -348,8 +348,14 @@ int main() {
                   "%llu windows; >1 = sharding wins on this machine)\n",
                   speedup, s4.runner->shard_count(), s4.runner->workers(),
                   static_cast<unsigned long long>(s4.runner->windows()));
+      const double ideal = s4.runner->ideal_speedup();
+      std::printf("scale.shard4_ideal_speedup %.4f  "
+                  "(events / sum over windows of the busiest shard's; "
+                  "core-count independent)\n",
+                  ideal);
       if (bench::Artifact* a2 = bench::Artifact::current()) {
         a2->add_value("scale.k8_shard4_speedup_ratio", speedup);
+        a2->add_value("scale.shard4_ideal_speedup", ideal);
       }
 
       // Per-shard event counts and load balance. The pod partition should
@@ -404,12 +410,17 @@ int main() {
         "queue hwm %6zu   peak rss %7.1f MB   (%d shards, %u workers)\n",
         "scale_k16", s16.hosts, wall, eps / 1e6, s16.queue_high_water(),
         rss16, s16.runner->shard_count(), s16.runner->workers());
+    std::printf("scale_k16.shard4_ideal_speedup %.4f  (%llu windows)\n",
+                s16.runner->ideal_speedup(),
+                static_cast<unsigned long long>(s16.runner->windows()));
     if (bench::Artifact* a = bench::Artifact::current()) {
       a->add_value("scale_k16.hosts", static_cast<double>(s16.hosts));
       a->add_value("scale_k16.events_per_sec", eps);
       a->add_value("scale_k16.rss_mb", rss16);
       a->add_value("scale_k16.queue_hwm",
                    static_cast<double>(s16.queue_high_water()));
+      a->add_value("scale_k16.shard4_ideal_speedup",
+                   s16.runner->ideal_speedup());
       a->note_engine(ev, s16.queue_high_water());
     }
   }

@@ -19,10 +19,9 @@
 
 #include "harness/experiment.hpp"
 #include "lb/clove_ecn.hpp"
-#include "lb/clove_int.hpp"
-#include "lb/clove_latency.hpp"
 #include "lb/ecmp.hpp"
 #include "lb/edge_flowlet.hpp"
+#include "lb/least_signal.hpp"
 #include "lb/policy.hpp"
 #include "lb/presto.hpp"
 #include "net/conga_switch.hpp"

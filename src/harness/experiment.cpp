@@ -7,10 +7,9 @@
 #include <utility>
 
 #include "lb/clove_ecn.hpp"
-#include "lb/clove_int.hpp"
-#include "lb/clove_latency.hpp"
 #include "lb/ecmp.hpp"
 #include "lb/edge_flowlet.hpp"
+#include "lb/least_signal.hpp"
 #include "lb/presto.hpp"
 #include "net/conga_switch.hpp"
 #include "net/letflow_switch.hpp"
@@ -59,16 +58,12 @@ std::unique_ptr<lb::Policy> Testbed::make_policy() {
       c.adaptive_gap = cfg_.adaptive_flowlet_gap;
       return std::make_unique<lb::CloveEcnPolicy>(c, cfg_.seed * 131 + 7);
     }
-    case Scheme::kCloveInt: {
-      lb::CloveIntConfig c;
-      c.flowlet_gap = cfg_.flowlet_gap;
-      return std::make_unique<lb::CloveIntPolicy>(c, cfg_.seed * 131 + 7);
-    }
-    case Scheme::kCloveLatency: {
-      lb::CloveLatencyConfig c;
-      c.flowlet_gap = cfg_.flowlet_gap;
-      return std::make_unique<lb::CloveLatencyPolicy>(c, cfg_.seed * 131 + 7);
-    }
+    case Scheme::kCloveInt:
+      return std::make_unique<lb::LeastSignalPolicy>(
+          lb::kIntUtilization, cfg_.flowlet_gap, cfg_.seed * 131 + 7);
+    case Scheme::kCloveLatency:
+      return std::make_unique<lb::LeastSignalPolicy>(
+          lb::kPathLatency, cfg_.flowlet_gap, cfg_.seed * 131 + 7);
     case Scheme::kPresto:
       // Ideal static weights for asymmetry are installed after the fabric
       // is built (the spine IPs are unknown at host-creation time).

@@ -55,6 +55,7 @@ ShardRunner::ShardRunner(net::ShardDomain& domain, unsigned threads)
   }
   for (int s = 0; s < n_; ++s) {
     domain_.set_scope(s, scope_of_[static_cast<std::size_t>(s)]);
+    events_seen_.push_back(domain_.sim(s).events_processed());
   }
 
   if (prof::Profiler* session = prof::active()) {
@@ -130,13 +131,22 @@ void ShardRunner::execute_window(sim::Time until_inclusive) {
   ++windows_;
   if (p_ == 1) {
     for (int s = 0; s < n_; ++s) run_shard(s, until_inclusive);
-    return;
+  } else {
+    publish(until_inclusive);
+    for (int s = 0; s < n_; s += static_cast<int>(p_)) {
+      run_shard(s, until_inclusive);
+    }
+    wait_for_workers();
   }
-  publish(until_inclusive);
-  for (int s = 0; s < n_; s += static_cast<int>(p_)) {
-    run_shard(s, until_inclusive);
+  std::uint64_t busiest = 0;
+  for (int s = 0; s < n_; ++s) {
+    const std::uint64_t now = domain_.sim(s).events_processed();
+    std::uint64_t& seen = events_seen_[static_cast<std::size_t>(s)];
+    window_events_ += now - seen;
+    busiest = std::max(busiest, now - seen);
+    seen = now;
   }
-  wait_for_workers();
+  critical_events_ += busiest;
 }
 
 void ShardRunner::publish(sim::Time until_inclusive) {

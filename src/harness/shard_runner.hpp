@@ -91,6 +91,16 @@ class ShardRunner {
   /// exported by benches next to the shard_sync profile share).
   [[nodiscard]] std::uint64_t windows() const { return windows_; }
 
+  /// Core-count-independent parallelism of the windows run so far: events
+  /// executed in them / Σ over windows of the busiest shard's events. It is
+  /// the speedup the shards would give with one core each and free
+  /// barriers (1.0 = the busiest shard does all the work of every window).
+  [[nodiscard]] double ideal_speedup() const {
+    return critical_events_ > 0 ? static_cast<double>(window_events_) /
+                                      static_cast<double>(critical_events_)
+                                : 1.0;
+  }
+
  private:
   void worker_loop(unsigned w);
   void run_shard(int s, sim::Time until_inclusive);
@@ -102,6 +112,9 @@ class ShardRunner {
   int n_;        ///< shard count
   unsigned p_;   ///< worker count (<= n_), calling thread included
   std::uint64_t windows_{0};
+  std::uint64_t window_events_{0};    ///< Σ events over windows and shards
+  std::uint64_t critical_events_{0};  ///< Σ over windows of max shard events
+  std::vector<std::uint64_t> events_seen_;  ///< per shard, at last window end
 
   std::vector<telemetry::Scope*> scope_of_;  ///< per shard (0 = ambient)
   std::vector<std::unique_ptr<telemetry::Scope>> extra_scopes_;

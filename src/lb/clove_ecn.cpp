@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <unordered_map>
 
 #include "telemetry/hub.hpp"
 
@@ -11,25 +10,11 @@ namespace clove::lb {
 void CloveEcnPolicy::on_paths_updated(net::IpAddr dst,
                                       const overlay::PathSet& paths) {
   DstState& st = dsts_[dst];
-
-  // Carry state across a remap by path signature (§3.1 optimization): the
-  // same physical path keeps its learned weight when only the source port
-  // that reaches it changed.
-  std::unordered_map<std::string, PathState> old_by_sig;
-  for (auto& p : st.paths) old_by_sig.emplace(p.info.signature(), p);
-
-  st.paths.clear();
-  for (const overlay::PathInfo& info : paths.paths) {
-    PathState ps;
-    ps.info = info;
-    auto it = old_by_sig.find(info.signature());
-    if (it != old_by_sig.end()) {
-      ps.weight = it->second.weight;
-      ps.congested_at = it->second.congested_at;
-      ps.latency = it->second.latency;
-    }
-    st.paths.push_back(std::move(ps));
-  }
+  refresh_paths(st.paths, paths, [](PathState& to, const PathState& from) {
+    to.weight = from.weight;
+    to.congested_at = from.congested_at;
+    to.latency = from.latency;
+  });
 
   // Normalize; brand-new paths start at the uniform share.
   const double uniform = st.paths.empty() ? 0.0 : 1.0 / st.paths.size();
@@ -43,17 +28,23 @@ void CloveEcnPolicy::on_paths_updated(net::IpAddr dst,
   }
 
   // Announce the new port->path mapping so trace consumers can retire ports
-  // from earlier discovery rounds; `via` is the spine the path crosses.
-  // on_paths_updated has no time argument (discovery drives it), so the
-  // events carry the last data-path timestamp this policy has seen.
-  if (telemetry::tracing()) {
-    for (const auto& p : st.paths) {
-      char detail[48];
-      std::snprintf(detail, sizeof(detail), "dst %u via %u remap", dst,
-                    p.info.hops.size() > 1 ? p.info.hops[1].node : 0);
-      telemetry::trace(telemetry::Category::kWeight, last_now_, owner(),
-                       "clove.weight", detail, p.weight, p.info.port);
-    }
+  // from earlier discovery rounds. on_paths_updated has no time argument
+  // (discovery drives it), so the events carry the last data-path timestamp
+  // this policy has seen.
+  trace_weights(dst, st, last_now_, "remap");
+}
+
+void CloveEcnPolicy::trace_weights(net::IpAddr dst, const DstState& st,
+                                   sim::Time now, const char* tag,
+                                   const PathState* reduced) const {
+  if (!telemetry::tracing()) return;
+  for (const auto& p : st.paths) {
+    char detail[64];
+    std::snprintf(detail, sizeof(detail), "dst %u via %u %s", dst,
+                  p.info.hops.size() > 1 ? p.info.hops[1].node : 0,
+                  &p == reduced ? "ecn_reduced" : tag);
+    telemetry::trace(telemetry::Category::kWeight, now, owner(),
+                     "clove.weight", detail, p.weight, p.info.port);
   }
 }
 
@@ -73,21 +64,9 @@ void CloveEcnPolicy::apply_recovery(DstState& st, sim::Time now) {
 }
 
 std::size_t CloveEcnPolicy::wrr_pick(DstState& st) {
-  // Smooth weighted round-robin: add each weight to its credit, pick the
-  // largest credit, subtract the total. Deterministic and burst-free.
-  double total = 0.0;
-  std::size_t best = 0;
-  double best_credit = -1e300;
-  for (std::size_t i = 0; i < st.paths.size(); ++i) {
-    st.paths[i].wrr_credit += st.paths[i].weight;
-    total += st.paths[i].weight;
-    if (st.paths[i].wrr_credit > best_credit) {
-      best_credit = st.paths[i].wrr_credit;
-      best = i;
-    }
-  }
-  st.paths[best].wrr_credit -= total;
-  return best;
+  return smooth_wrr(
+      st.paths.size(), [&](std::size_t i) { return st.paths[i].weight; },
+      [&](std::size_t i) -> double& { return st.paths[i].wrr_credit; });
 }
 
 sim::Time CloveEcnPolicy::gap_for(const DstState* st) const {
@@ -111,52 +90,20 @@ std::uint16_t CloveEcnPolicy::pick_port(const net::Packet& inner,
                                         net::IpAddr dst, sim::Time now,
                                         PickInfo* info) {
   last_now_ = now;
-  auto it0 = dsts_.find(dst);
-  auto t = flowlets_.touch(inner.inner, now,
-                           gap_for(it0 == dsts_.end() ? nullptr : &it0->second));
-  if (info != nullptr) {
-    info->new_flowlet = t.new_flowlet;
-    info->flowlet_id = t.flowlet_id;
-  }
-  auto it = it0;
-  if (it == dsts_.end() || it->second.paths.empty()) {
-    // Discovery hasn't produced a mapping yet: fall back to per-flowlet
-    // random ports (Edge-Flowlet behaviour).
-    if (info != nullptr) info->reason = "flowlet-hash";
-    if (!t.new_flowlet) return t.port;
-    const std::uint16_t port = hash_port(inner.inner, t.flowlet_id);
-    t.set_port(port);
-    return port;
-  }
-  DstState& st = it->second;
-  apply_recovery(st, now);
-  if (info != nullptr) {
-    info->n_paths = static_cast<std::uint16_t>(st.paths.size());
-  }
-
-  if (!t.new_flowlet) {
-    // Keep the flowlet on its path as long as that port is still mapped.
-    for (const auto& p : st.paths) {
-      if (p.info.port == t.port) {
-        if (info != nullptr) {
-          info->reason = "wrr";
-          info->metric = p.weight;
-        }
-        return t.port;
-      }
-    }
-  }
-  const std::size_t idx = wrr_pick(st);
-  const std::uint16_t port = st.paths[idx].info.port;
-  t.set_port(port);
-  if (info != nullptr) {
-    info->reason = "wrr";
-    info->metric = st.paths[idx].weight;
-  }
-  if (t.new_flowlet && telemetry::tracing()) {
+  auto it = dsts_.find(dst);
+  DstState* st = it == dsts_.end() ? nullptr : &it->second;
+  const auto t = flowlets_.touch(inner.inner, now, gap_for(st));
+  if (st != nullptr) apply_recovery(*st, now);
+  std::size_t idx = 0;
+  const std::uint16_t port = flowlet_pick(
+      t, inner.inner, kHashSalt, st == nullptr ? nullptr : &st->paths, "wrr",
+      info, [](const PathState& p) { return p.weight; },
+      [&] { return idx = wrr_pick(*st); });
+  if (t.new_flowlet && st != nullptr && !st->paths.empty() &&
+      telemetry::tracing()) {
     telemetry::trace(telemetry::Category::kFlowlet, now, owner(),
                      "clove.flowlet_new", "dst " + std::to_string(dst),
-                     st.paths[idx].weight, port);
+                     st->paths[idx].weight, port);
   }
   return port;
 }
@@ -207,18 +154,9 @@ void CloveEcnPolicy::on_feedback(net::IpAddr dst, const net::CloveFeedback& fb,
 
   if (on_port_degraded) on_port_degraded(dst, fb.port);
 
-  // Emit the full post-update weight vector (one event per path) so a trace
-  // capture shows the WRR mass migrating between paths over time.
-  if (telemetry::tracing()) {
-    for (const auto& p : st.paths) {
-      char detail[64];
-      std::snprintf(detail, sizeof(detail), "dst %u via %u %s", dst,
-                    p.info.hops.size() > 1 ? p.info.hops[1].node : 0,
-                    &p == congested ? "ecn_reduced" : "spread");
-      telemetry::trace(telemetry::Category::kWeight, now, owner(),
-                       "clove.weight", detail, p.weight, p.info.port);
-    }
-  }
+  // Emit the full post-update weight vector so a trace capture shows the
+  // WRR mass migrating between paths over time.
+  trace_weights(dst, st, now, "spread", congested);
 }
 
 void CloveEcnPolicy::on_path_evicted(net::IpAddr dst, std::uint16_t port,
@@ -245,15 +183,7 @@ void CloveEcnPolicy::on_path_evicted(net::IpAddr dst, std::uint16_t port,
     for (auto& p : st.paths) p.weight = uniform;
   }
 
-  if (telemetry::tracing()) {
-    for (const auto& p : st.paths) {
-      char detail[48];
-      std::snprintf(detail, sizeof(detail), "dst %u via %u evict_renorm", dst,
-                    p.info.hops.size() > 1 ? p.info.hops[1].node : 0);
-      telemetry::trace(telemetry::Category::kWeight, now, owner(),
-                       "clove.weight", detail, p.weight, p.info.port);
-    }
-  }
+  trace_weights(dst, st, now, "evict_renorm");
 }
 
 bool CloveEcnPolicy::all_paths_congested(net::IpAddr dst, sim::Time now) const {

@@ -3,6 +3,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "lb/pick.hpp"
 #include "lb/policy.hpp"
 #include "overlay/flowlet.hpp"
 #include "sim/random.hpp"
@@ -83,15 +84,16 @@ class CloveEcnPolicy : public Policy {
   [[nodiscard]] sim::Time gap_for(const DstState* st) const;
   void apply_recovery(DstState& st, sim::Time now);
   std::size_t wrr_pick(DstState& st);
+  /// One clove.weight trace event per path of dst (the full weight vector;
+  /// `via` is the spine the path crosses), tagged `tag`, or "ecn_reduced"
+  /// for the path `reduced`.
+  void trace_weights(net::IpAddr dst, const DstState& st, sim::Time now,
+                     const char* tag, const PathState* reduced = nullptr) const;
   [[nodiscard]] bool is_congested(const PathState& p, sim::Time now) const {
     return p.congested_at >= 0 && now - p.congested_at <= cfg_.congestion_expiry;
   }
-  /// Fallback port when no discovery results exist yet: flow hash.
-  static std::uint16_t hash_port(const net::FiveTuple& t, std::uint32_t salt) {
-    return static_cast<std::uint16_t>(
-        overlay::kEphemeralBase +
-        net::hash_tuple(t, 0xC10Eu ^ salt) % overlay::kEphemeralCount);
-  }
+  /// Flowlet-hash salt while a destination has no discovered paths.
+  static constexpr std::uint32_t kHashSalt = 0xC10Eu;
 
   CloveEcnConfig cfg_;
   overlay::FlowletTracker flowlets_;

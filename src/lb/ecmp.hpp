@@ -3,6 +3,7 @@
 #include <set>
 #include <utility>
 
+#include "lb/pick.hpp"
 #include "lb/policy.hpp"
 
 namespace clove::lb {
@@ -29,7 +30,7 @@ class EcmpPolicy : public Policy {
                           sim::Time now, PickInfo* info) override {
     (void)now;
     if (info != nullptr) *info = PickInfo{};  // per-flow hash, no flowlets
-    std::uint16_t port = hash_port(inner, /*attempt=*/0);
+    std::uint16_t port = hash_port(inner.inner, kSalt);
     if (migrate_ && !evicted_.empty()) {
       // Bounded re-hash: every live port is reachable within kEphemeralCount
       // salts; give up back to the base pick if somehow all are evicted.
@@ -37,7 +38,7 @@ class EcmpPolicy : public Policy {
            attempt <= overlay::kEphemeralCount &&
            evicted_.count({dst, port}) != 0;
            ++attempt) {
-        port = hash_port(inner, attempt);
+        port = hash_port(inner.inner, kSalt + attempt);
       }
     }
     return port;
@@ -63,13 +64,8 @@ class EcmpPolicy : public Policy {
   }
 
  private:
-  [[nodiscard]] static std::uint16_t hash_port(const net::Packet& inner,
-                                               std::uint32_t attempt) {
-    return static_cast<std::uint16_t>(
-        overlay::kEphemeralBase +
-        net::hash_tuple(inner.inner, /*salt=*/0xEC3Bu + attempt) %
-            overlay::kEphemeralCount);
-  }
+  /// Per-flow hash salt; a migrate re-hash adds the attempt number.
+  static constexpr std::uint32_t kSalt = 0xEC3Bu;
 
   bool migrate_;
   /// Evicted (dst, port) pairs; ordered so behavior is deterministic and

@@ -1,5 +1,6 @@
 #pragma once
 
+#include "lb/pick.hpp"
 #include "lb/policy.hpp"
 #include "overlay/flowlet.hpp"
 
@@ -21,26 +22,14 @@ class EdgeFlowletPolicy : public Policy {
   std::uint16_t pick_port(const net::Packet& inner, net::IpAddr dst,
                           sim::Time now, PickInfo* info) override {
     (void)dst;
-    auto t = flowlets_.touch(inner.inner, now);
-    if (info != nullptr) {
-      info->new_flowlet = t.new_flowlet;
-      info->flowlet_id = t.flowlet_id;
-      info->reason = "flowlet-hash";
-    }
-    if (!t.new_flowlet) return t.port;
-    const std::uint16_t port = static_cast<std::uint16_t>(
-        overlay::kEphemeralBase +
-        net::hash_tuple(inner.inner, 0xF10Du ^ t.flowlet_id) %
-            overlay::kEphemeralCount);
-    t.set_port(port);
-    return port;
+    return flowlet_hash_pick(flowlets_.touch(inner.inner, now), inner.inner,
+                             0xF10Du, info);
   }
 
   [[nodiscard]] std::string name() const override { return "edge-flowlet"; }
   [[nodiscard]] overlay::FlowletTracker* flowlet_tracker() override {
     return &flowlets_;
   }
-  [[nodiscard]] overlay::FlowletTracker& flowlets() { return flowlets_; }
 
  private:
   overlay::FlowletTracker flowlets_;

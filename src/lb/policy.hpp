@@ -134,8 +134,9 @@ class Policy {
   /// Fires when congestion feedback makes the policy reduce the weight of
   /// `port` toward `dst` — the signal the hybrid flow/packet engine uses to
   /// demote fluid elephants riding a path the policy is steering away from.
-  /// Set by the owning hypervisor; policies that re-weight on feedback
-  /// (Clove-ECN/INT/latency) invoke it after applying the reduction.
+  /// Set by the owning hypervisor. Only Clove-ECN invokes it (after an ECN
+  /// weight reduction); the least-signal schemes (Clove-INT, Clove-Latency)
+  /// never do, so hybrid never demotes an elephant on their account.
   std::function<void(net::IpAddr dst, std::uint16_t port)> on_port_degraded;
 
  private:

@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "lb/pick.hpp"
 #include "lb/policy.hpp"
 
 namespace clove::lb {
@@ -38,9 +39,7 @@ class PrestoPolicy : public Policy {
     auto dit = dsts_.find(dst);
     if (dit == dsts_.end() || dit->second.paths.empty()) {
       if (info != nullptr) *info = PickInfo{};
-      return static_cast<std::uint16_t>(
-          overlay::kEphemeralBase +
-          net::hash_tuple(inner.inner, 0x9137u) % overlay::kEphemeralCount);
+      return hash_port(inner.inner, 0x9137u);
     }
     DstState& st = dit->second;
     FlowState& fs = flows_[inner.inner];
@@ -82,8 +81,6 @@ class PrestoPolicy : public Policy {
 
   [[nodiscard]] std::string name() const override { return "presto"; }
   [[nodiscard]] bool needs_discovery() const override { return true; }
-  /// Presto expects receiver-side flowcell reassembly.
-  [[nodiscard]] static bool wants_reorder_buffer() { return true; }
   [[nodiscard]] bool requires_reassembly() const override { return true; }
 
  private:
@@ -102,19 +99,9 @@ class PrestoPolicy : public Policy {
     if (fs.wrr_credit.size() != st.weights.size()) {
       fs.wrr_credit.assign(st.weights.size(), 0.0);
     }
-    double total = 0.0;
-    std::size_t best = 0;
-    double best_credit = -1e300;
-    for (std::size_t i = 0; i < st.weights.size(); ++i) {
-      fs.wrr_credit[i] += st.weights[i];
-      total += st.weights[i];
-      if (fs.wrr_credit[i] > best_credit) {
-        best_credit = fs.wrr_credit[i];
-        best = i;
-      }
-    }
-    fs.wrr_credit[best] -= total;
-    return best;
+    return smooth_wrr(
+        st.weights.size(), [&](std::size_t i) { return st.weights[i]; },
+        [&](std::size_t i) -> double& { return fs.wrr_credit[i]; });
   }
 
   PrestoConfig cfg_;

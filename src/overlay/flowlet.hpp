@@ -65,12 +65,6 @@ class FlowletTracker {
     return {true, e->flowlet_id, e->port, e};
   }
 
-  /// Store the routing decision for the flow's current flowlet (keyed
-  /// lookup; prefer Touch::set_port on the handle).
-  void set_port(const net::FiveTuple& flow, std::uint16_t port) {
-    table_[flow].port = port;
-  }
-
   /// Occupancy / probe-length digest of the backing FlatMap (engine
   /// profiler's table gauge; see prof::Profiler::note_table).
   [[nodiscard]] auto probe_stats() const { return table_.probe_stats(); }
@@ -88,10 +82,8 @@ class FlowletTracker {
   /// above any queueing-delay spread yet still bounds the table for
   /// long-running sweeps.
   [[nodiscard]] sim::Time idle_timeout() const {
-    return idle_override_ > 0 ? idle_override_
-                              : std::max(100 * gap_, sim::kSecond);
+    return std::max(100 * gap_, sim::kSecond);
   }
-  void set_idle_timeout(sim::Time idle) { idle_override_ = idle; }
 
   /// Housekeeping: drop entries idle longer than `idle` (full scan; kept for
   /// tests and explicit sweeps — the datapath uses the touch-time sweep).
@@ -109,7 +101,6 @@ class FlowletTracker {
   };
   util::FlatMap<net::FiveTuple, Entry, TupleHasher> table_;
   sim::Time gap_;
-  sim::Time idle_override_{0};  ///< 0 = derive from gap
   std::uint64_t flowlets_started_{0};
 };
 

@@ -1,15 +1,18 @@
 // Tests for the congestion-aware Clove policies: Clove-ECN's weight
-// adaptation loop, Clove-INT's least-utilized routing, Clove-Latency.
+// adaptation loop, and the least-signal rule of Clove-INT and Clove-Latency.
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <numeric>
+#include <ostream>
 #include <set>
 
 #include "lb/clove_ecn.hpp"
-#include "lb/clove_int.hpp"
-#include "lb/clove_latency.hpp"
+#include "lb/ecmp.hpp"
+#include "lb/edge_flowlet.hpp"
+#include "lb/least_signal.hpp"
+#include "lb/presto.hpp"
 #include "test_util.hpp"
 
 namespace clove::lb {
@@ -213,55 +216,82 @@ TEST(CloveEcn, FeedbackForUnknownPortIgnored) {
 }
 
 // ---------------------------------------------------------------------------
-// Clove-INT
+// Least-signal policy: the same rule over both signals
 // ---------------------------------------------------------------------------
 
-TEST(CloveInt, WantsIntTelemetry) {
-  CloveIntPolicy p;
-  EXPECT_TRUE(p.wants_int());
-  EXPECT_TRUE(p.wants_ect());
-  EXPECT_TRUE(p.needs_discovery());
+net::CloveFeedback latency_fb(std::uint16_t port, sim::Time latency) {
+  net::CloveFeedback fb;
+  fb.present = true;
+  fb.port = port;
+  fb.has_latency = true;
+  fb.latency = latency;
+  return fb;
 }
 
-TEST(CloveInt, RoutesToLeastUtilizedPath) {
-  CloveIntPolicy p;
+/// One signal under test: feedback at `level` in [0, 1] for a path reads
+/// back as `level * unit` in the policy's metric.
+struct SignalCase {
+  const LeastSignal* signal;
+  double unit;
+  net::CloveFeedback (*feedback)(std::uint16_t port, double level);
+};
+
+void PrintTo(const SignalCase& c, std::ostream* os) { *os << c.signal->name; }
+
+const SignalCase kUtilCase{&kIntUtilization, 1.0, &util_fb};
+const SignalCase kLatencyCase{
+    &kPathLatency, 1000.0, [](std::uint16_t port, double level) {
+      return latency_fb(port, static_cast<sim::Time>(level * 1000.0 + 0.5) *
+                                  kMicrosecond);
+    }};
+
+class LeastSignalTest : public ::testing::TestWithParam<SignalCase> {
+ protected:
+  LeastSignalPolicy make() const { return LeastSignalPolicy(*GetParam().signal); }
+  net::CloveFeedback fb(std::uint16_t port, double level) const {
+    return GetParam().feedback(port, level);
+  }
+  double unit() const { return GetParam().unit; }
+};
+
+TEST_P(LeastSignalTest, RoutesToLeastSignalPath) {
+  auto p = make();
   p.on_paths_updated(2, four_paths());
   const sim::Time t = 100 * kMicrosecond;
-  p.on_feedback(2, util_fb(50000, 0.9), t);
-  p.on_feedback(2, util_fb(50001, 0.7), t);
-  p.on_feedback(2, util_fb(50002, 0.1), t);
-  p.on_feedback(2, util_fb(50003, 0.5), t);
-  // Every new flowlet goes to the 0.1-utilization path.
+  p.on_feedback(2, fb(50000, 0.9), t);
+  p.on_feedback(2, fb(50001, 0.7), t);
+  p.on_feedback(2, fb(50002, 0.1), t);
+  p.on_feedback(2, fb(50003, 0.5), t);
+  // Every new flowlet goes to the 0.1 path.
   for (int i = 0; i < 10; ++i) {
     auto pkt =
         make_data(tuple(1, 2, static_cast<std::uint16_t>(3000 + i)), 0, 100);
-    EXPECT_EQ(p.pick_port(*pkt, 2, t + 1), 50002);
+    PickInfo info;
+    EXPECT_EQ(p.pick_port(*pkt, 2, t + 1, &info), 50002);
+    EXPECT_STREQ(info.reason, GetParam().signal->reason);
+    EXPECT_NEAR(info.metric, 0.1 * unit(), 1e-9);
   }
 }
 
-TEST(CloveInt, StaleUtilizationExpires) {
-  CloveIntConfig cfg;
-  cfg.util_expiry = 1 * sim::kMillisecond;
-  CloveIntPolicy p(cfg);
+TEST_P(LeastSignalTest, StaleSignalExpires) {
+  auto p = make();
   p.on_paths_updated(2, four_paths());
-  p.on_feedback(2, util_fb(50000, 0.9), 0);
-  auto utils = p.utilizations(2, 2 * sim::kMillisecond);
-  EXPECT_DOUBLE_EQ(utils[0], 0.0);  // expired, treated as unknown/idle
+  p.on_feedback(2, fb(50000, 0.9), 0);
+  EXPECT_NEAR(p.signals(2, LeastSignalPolicy::kExpiry)[0], 0.9 * unit(), 1e-9);
+  // Expired: treated as unknown/idle.
+  EXPECT_DOUBLE_EQ(p.signals(2, 2 * sim::kMillisecond)[0], 0.0);
 }
 
-TEST(CloveInt, EwmaSmoothsSamples) {
-  CloveIntConfig cfg;
-  cfg.util_ewma = 0.5;
-  CloveIntPolicy p(cfg);
+TEST_P(LeastSignalTest, EwmaSmoothsSamples) {
+  auto p = make();
   p.on_paths_updated(2, four_paths());
-  p.on_feedback(2, util_fb(50000, 1.0), 0);
-  p.on_feedback(2, util_fb(50000, 0.0), 1);
-  auto utils = p.utilizations(2, 2);
-  EXPECT_NEAR(utils[0], 0.5, 1e-9);
+  p.on_feedback(2, fb(50000, 1.0), 0);
+  p.on_feedback(2, fb(50000, 0.0), 1);
+  EXPECT_NEAR(p.signals(2, 2)[0], 0.5 * unit(), 1e-9);
 }
 
-TEST(CloveInt, TieBreaksSpreadAcrossIdlePaths) {
-  CloveIntPolicy p;
+TEST_P(LeastSignalTest, TieBreaksSpreadAcrossIdlePaths) {
+  auto p = make();
   p.on_paths_updated(2, four_paths());
   std::set<std::uint16_t> picked;
   for (int i = 0; i < 64; ++i) {
@@ -272,38 +302,47 @@ TEST(CloveInt, TieBreaksSpreadAcrossIdlePaths) {
   EXPECT_EQ(picked.size(), 4u);  // all-idle => random ties cover all paths
 }
 
-TEST(CloveInt, FlowletStickiness) {
-  CloveIntPolicy p;
+TEST_P(LeastSignalTest, FlowletStickiness) {
+  auto p = make();
   p.on_paths_updated(2, four_paths());
   auto pkt = make_data(tuple(1, 2), 0, 100);
   const auto port = p.pick_port(*pkt, 2, 0);
-  p.on_feedback(2, util_fb(port, 1.0), 1);
+  p.on_feedback(2, fb(port, 1.0), 1);
   EXPECT_EQ(p.pick_port(*pkt, 2, 10 * kMicrosecond), port);
 }
 
-// ---------------------------------------------------------------------------
-// Clove-Latency (§7 extension)
-// ---------------------------------------------------------------------------
+TEST_P(LeastSignalTest, SignalCarriesAcrossRemapBySignature) {
+  auto p = make();
+  p.on_paths_updated(2, four_paths(50000));
+  p.on_feedback(2, fb(50000, 0.9), 0);
+  p.on_paths_updated(2, four_paths(60000));
+  EXPECT_NEAR(p.signals(2, 1)[0], 0.9 * unit(), 1e-9);
+}
 
+INSTANTIATE_TEST_SUITE_P(
+    Signals, LeastSignalTest, ::testing::Values(kUtilCase, kLatencyCase),
+    [](const ::testing::TestParamInfo<SignalCase>& i) {
+      return i.param.signal == &kIntUtilization ? "clove_int" : "clove_latency";
+    });
+
+TEST(CloveInt, WantsIntTelemetry) {
+  LeastSignalPolicy p(kIntUtilization);
+  EXPECT_TRUE(p.wants_int());
+  EXPECT_TRUE(p.wants_ect());
+  EXPECT_TRUE(p.needs_discovery());
+  EXPECT_EQ(p.name(), "clove-int");
+}
+
+// Realistic one-way delays: the relayed sim::Time is read in microseconds.
 TEST(CloveLatency, RoutesToLowestLatencyPath) {
-  CloveLatencyPolicy p;
+  LeastSignalPolicy p(kPathLatency);
   p.on_paths_updated(2, four_paths());
-  net::CloveFeedback fb;
-  fb.present = true;
-  fb.has_latency = true;
   const sim::Time t = 10 * kMicrosecond;
-  fb.port = 50000;
-  fb.latency = 900 * kMicrosecond;
-  p.on_feedback(2, fb, t);
-  fb.port = 50001;
-  fb.latency = 50 * kMicrosecond;
-  p.on_feedback(2, fb, t);
-  fb.port = 50002;
-  fb.latency = 500 * kMicrosecond;
-  p.on_feedback(2, fb, t);
-  fb.port = 50003;
-  fb.latency = 700 * kMicrosecond;
-  p.on_feedback(2, fb, t);
+  p.on_feedback(2, latency_fb(50000, 900 * kMicrosecond), t);
+  p.on_feedback(2, latency_fb(50001, 50 * kMicrosecond), t);
+  p.on_feedback(2, latency_fb(50002, 500 * kMicrosecond), t);
+  p.on_feedback(2, latency_fb(50003, 700 * kMicrosecond), t);
+  EXPECT_EQ(p.signals(2, t), (std::vector<double>{900.0, 50.0, 500.0, 700.0}));
   for (int i = 0; i < 5; ++i) {
     auto pkt =
         make_data(tuple(1, 2, static_cast<std::uint16_t>(5000 + i)), 0, 100);
@@ -312,10 +351,44 @@ TEST(CloveLatency, RoutesToLowestLatencyPath) {
 }
 
 TEST(CloveLatency, NeedsDiscoveryOnly) {
-  CloveLatencyPolicy p;
+  LeastSignalPolicy p(kPathLatency);
   EXPECT_TRUE(p.needs_discovery());
   EXPECT_FALSE(p.wants_int());
+  EXPECT_FALSE(p.wants_ect());
   EXPECT_EQ(p.name(), "clove-latency");
+}
+
+// ---------------------------------------------------------------------------
+// Hashed ports before discovery, pinned per scheme
+// ---------------------------------------------------------------------------
+
+// Each scheme salts the shared port hash differently; a slipped salt moves
+// these ports. Picks at 0 and 10 us share flowlet 1, the pick at 1 ms (past
+// the 100 us gap) is flowlet 2; ECMP and Presto hash per flow.
+TEST(FallbackPort, PinnedPerSchemeBeforeDiscovery) {
+  EcmpPolicy ecmp;
+  PrestoPolicy presto;
+  EdgeFlowletPolicy edge;
+  CloveEcnPolicy ecn;
+  LeastSignalPolicy util(kIntUtilization);
+  LeastSignalPolicy latency(kPathLatency);
+  const std::map<std::string, std::pair<Policy*, std::vector<std::uint16_t>>>
+      cases{{"ecmp", {&ecmp, {56502, 56502, 56502}}},
+            {"presto", {&presto, {62656, 62656, 62656}}},
+            {"edge-flowlet", {&edge, {51331, 51331, 61550}}},
+            {"clove-ecn", {&ecn, {58111, 58111, 61197}}},
+            {"clove-int", {&util, {65099, 65099, 64368}}},
+            {"clove-latency", {&latency, {52663, 52663, 49173}}}};
+  auto pkt = make_data(tuple(1, 2, 1234, 80), 0, 100);
+  for (const auto& [name, c] : cases) {
+    Policy* p = c.first;
+    ASSERT_EQ(p->name(), name);
+    std::vector<std::uint16_t> ports;
+    for (sim::Time at : {sim::Time{0}, 10 * kMicrosecond, sim::kMillisecond}) {
+      ports.push_back(p->pick_port(*pkt, 2, at));
+    }
+    EXPECT_EQ(ports, c.second) << name;
+  }
 }
 
 }  // namespace

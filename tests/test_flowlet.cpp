@@ -21,8 +21,7 @@ TEST(FlowletTracker, FirstPacketStartsFlowlet) {
 
 TEST(FlowletTracker, PacketsWithinGapShareFlowlet) {
   FlowletTracker t(100 * kMicrosecond);
-  t.touch(tuple(1, 2), 0);
-  t.set_port(tuple(1, 2), 5555);
+  t.touch(tuple(1, 2), 0).set_port(5555);
   auto r = t.touch(tuple(1, 2), 50 * kMicrosecond);
   EXPECT_FALSE(r.new_flowlet);
   EXPECT_EQ(r.port, 5555);
@@ -59,10 +58,8 @@ TEST(FlowletTracker, FlowsAreIndependent) {
 
 TEST(FlowletTracker, PortStoredPerFlow) {
   FlowletTracker t(100 * kMicrosecond);
-  t.touch(tuple(1, 2), 0);
-  t.set_port(tuple(1, 2), 111);
-  t.touch(tuple(1, 3), 0);
-  t.set_port(tuple(1, 3), 222);
+  t.touch(tuple(1, 2), 0).set_port(111);
+  t.touch(tuple(1, 3), 0).set_port(222);
   EXPECT_EQ(t.touch(tuple(1, 2), 1).port, 111);
   EXPECT_EQ(t.touch(tuple(1, 3), 1).port, 222);
 }

@@ -114,7 +114,7 @@ TEST(Integration, CongestionSpawnsNewFlowlets) {
   for (auto* c : tb.clients()) {
     auto* pol = dynamic_cast<lb::EdgeFlowletPolicy*>(&c->policy());
     ASSERT_NE(pol, nullptr);
-    flowlets += pol->flowlets().flowlets_started();
+    flowlets += pol->flowlet_tracker()->flowlets_started();
   }
   // 8 connections carrying 80 jobs: far more flowlets than connections.
   EXPECT_GT(flowlets, 8u * 4u);
