@@ -361,6 +361,28 @@ void BM_PacketPool_RoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketPool_RoundTrip);
 
+void BM_PacketPool_RoundTrip_PathRecord(benchmark::State& state) {
+  // A Clove-INT, hybrid-traced packet's life: acquire, attach both records,
+  // take a 5-hop path's samples, release. The pool keeps the out-of-line
+  // record with the packet, so steady state reads 0 allocs/event.
+  sim::Simulator sim;
+  auto& pool = net::PacketPool::of(sim);
+  const std::uint64_t a0 = alloc_count();
+  for (auto _ : state) {
+    auto pkt = pool.acquire();
+    net::IntStack& stack = pkt->enable_int();
+    net::HybridTrace& trace = pkt->start_trace();
+    for (std::uint32_t hop = 0; hop < 5; ++hop) {
+      stack.push(0.1f * static_cast<float>(hop));
+      trace.push(hop);
+    }
+    benchmark::DoNotOptimize(pkt);
+    benchmark::ClobberMemory();
+  }
+  report_events(state, alloc_count() - a0);
+}
+BENCHMARK(BM_PacketPool_RoundTrip_PathRecord);
+
 void BM_PacketHeap_RoundTrip(benchmark::State& state) {
   const std::uint64_t a0 = alloc_count();
   for (auto _ : state) {

@@ -120,7 +120,7 @@ void Engine::on_sender_gone(transport::TcpSender& s) {
 }
 
 void Engine::on_trace(HostAdapter& dst_host, const net::FiveTuple& inner,
-                      const net::Packet::HybridTrace& trace,
+                      const net::HybridTrace& trace,
                       std::uint16_t encap_src_port) {
   CLOVE_PROF_SCOPE(prof::kHybrid);
   auto pit = pending_trace_.find(inner);

@@ -73,7 +73,7 @@ class HostAdapter {
 ///  1. adopt() — its sender gets this engine as a SenderHook.
 ///  2. on_clean_ack ramps a byte counter; when the promotion predicate
 ///     holds, the sender flags its next data segment to capture the exact
-///     links of the current flowlet (Packet::htrace).
+///     links of the current flowlet (net::HybridTrace).
 ///  3. The destination hypervisor reports the trace at delivery
 ///     (on_trace); the engine suspends the sender, fast-forwards the
 ///     receiver, and registers a fluid flow on the traced links.
@@ -112,7 +112,7 @@ class Engine : public net::FluidObserver, public transport::SenderHook {
   /// `trace` the links it serialized on, `encap_src_port` the overlay path
   /// port it rode (0 when not encapsulated).
   void on_trace(HostAdapter& dst_host, const net::FiveTuple& inner,
-                const net::Packet::HybridTrace& trace,
+                const net::HybridTrace& trace,
                 std::uint16_t encap_src_port);
 
   /// Clove's congestion feedback reduced the weight of `port` toward

@@ -122,13 +122,16 @@ void Link::on_tx_done() {
   ++stats_.tx_packets;
   stats_.tx_bytes += static_cast<std::uint64_t>(wire);
 
-  if (pkt->htrace.active) pkt->htrace.push(id_);
+  // The flags sit in the packet's hot line; only a set one reads the
+  // out-of-line record.
+  if (pkt->trace_active()) pkt->path_record()->trace.push(id_);
 
-  if (cfg_.int_telemetry && pkt->int_stack.enabled) {
+  if (cfg_.int_telemetry && pkt->int_enabled()) {
+    IntStack& stack = pkt->path_record()->int_stack;
     if (fluid_rate_ > 0.0) {
-      pkt->int_stack.push(static_cast<float>(utilization()));
+      stack.push(static_cast<float>(utilization()));
     } else {
-      pkt->int_stack.push(static_cast<float>(dre_.utilization(sim_.now())));
+      stack.push(static_cast<float>(dre_.utilization(sim_.now())));
     }
   }
   if (cfg_.conga_metric && pkt->conga.present) {

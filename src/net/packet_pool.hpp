@@ -12,7 +12,9 @@ namespace clove::net {
 /// Per-Simulator packet freelist. The datapath allocates (and frees) one
 /// Packet per simulated transmission; at steady state the flight-size worth
 /// of packets cycles through this pool with zero heap traffic — acquire()
-/// pops the freelist and the PacketPtr deleter pushes it back.
+/// pops the freelist and the PacketPtr deleter pushes it back. A recycled
+/// packet keeps its out-of-line PathRecord (cleared), so Clove-INT and
+/// hybrid-traced packets cycle with zero heap traffic too.
 ///
 /// Packets are individually `new`ed (never subdivided from slabs), so a
 /// packet that leaves the pool economy — released raw and rewrapped with a
@@ -40,8 +42,16 @@ class PacketPool {
     } else {
       p = free_.back();
       free_.pop_back();
+      // Reset in place (one write, no temporary), but keep a path record
+      // the packet carried: cleared, it serves the next INT or traced use
+      // without a heap allocation.
+      PathRecordHandle rec = std::move(p->path_);
       p->~Packet();
-      ::new (static_cast<void*>(p)) Packet;  // one in-place write, no temporary
+      ::new (static_cast<void*>(p)) Packet;
+      if (PathRecord* r = rec.get()) {
+        r->clear();
+        p->path_ = std::move(rec);
+      }
       ++reused_;
     }
     p->uid = ++next_uid_;

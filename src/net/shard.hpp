@@ -60,7 +60,7 @@ class ShardChannel {
     sim::Time at{0};
     bool has_journey{false};
     telemetry::Journey journey{};
-    Packet pkt{};  ///< field copy; uid preserved across the re-home
+    Packet pkt{};  ///< copy (path record included); uid preserved
   };
 
   Link* link_;

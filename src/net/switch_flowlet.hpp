@@ -70,10 +70,7 @@ class SwitchFlowletTable {
   /// Idle age beyond which the incremental sweep drops an entry. Always at
   /// least the flowlet gap (see class comment); scaled well above it so
   /// normal inter-flowlet silence does not thrash the table.
-  [[nodiscard]] sim::Time idle_timeout() const {
-    return idle_override_ > 0 ? idle_override_ : 100 * gap_;
-  }
-  void set_idle_timeout(sim::Time idle) { idle_override_ = idle; }
+  [[nodiscard]] sim::Time idle_timeout() const { return 100 * gap_; }
 
   /// Drop entries idle for more than `idle` (full scan; kept for tests and
   /// explicit housekeeping — the datapath relies on the touch-time sweep).
@@ -86,7 +83,6 @@ class SwitchFlowletTable {
  private:
   util::FlatMap<std::uint64_t, Entry> table_;
   sim::Time gap_;
-  sim::Time idle_override_{0};  ///< 0 = derive from gap
 };
 
 }  // namespace clove::net

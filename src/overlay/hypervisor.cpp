@@ -131,8 +131,6 @@ void Hypervisor::vm_send(net::PacketPtr pkt) {
         net::FiveTuple{ip(), dst, port, kSttPort, net::Proto::kStt};
     pkt->encap.ecn.ect = policy_->wants_ect();
     pkt->encap.ecn.ce = false;
-    pkt->int_stack.enabled = policy_->wants_int();
-    pkt->int_stack.count = 0;
   } else {
     // §7 non-overlay mode: rewrite the tenant source port in place; the
     // original travels in TCP options and is restored at the destination.
@@ -141,8 +139,11 @@ void Hypervisor::vm_send(net::PacketPtr pkt) {
     pkt->inner.src_port = port;
     // The fabric marks the inner header directly in this mode.
     pkt->tcp.ect = pkt->tcp.ect || policy_->wants_ect();
-    pkt->int_stack.enabled = policy_->wants_int();
-    pkt->int_stack.count = 0;
+  }
+  if (policy_->wants_int()) {
+    pkt->enable_int();
+  } else {
+    pkt->disable_int();
   }
   // The wire tuple is final for this traversal: compute the ECMP prehash
   // once here and let every switch on the path salt-finalize it.
@@ -285,7 +286,7 @@ void Hypervisor::handle_data(net::PacketPtr pkt) {
   net::IpAddr peer = net::kIpNone;
   // Hybrid path capture: remember the overlay port before decap wipes it;
   // the trace itself is reported after feedback processing, below.
-  const bool htrace_active = pkt->htrace.active;
+  const bool htrace_active = pkt->trace_active();
   const std::uint16_t htrace_port =
       pkt->encap.present ? pkt->encap.tuple.src_port : 0;
 
@@ -307,8 +308,8 @@ void Hypervisor::handle_data(net::PacketPtr pkt) {
                     [](PendingFeedback& fb) { fb.ecn_pending = true; });
     }
     // (b) INT: relay the max egress-link utilization seen along the path.
-    if (pkt->int_stack.enabled && pkt->int_stack.count > 0) {
-      const double u = pkt->int_stack.max_util();
+    if (pkt->int_enabled() && pkt->path_record()->int_stack.count > 0) {
+      const double u = pkt->path_record()->int_stack.max_util();
       const std::uint16_t fwd_port = pkt->encap.tuple.src_port;
       note_feedback(peer, fwd_port, [u](PendingFeedback& fb) {
         fb.has_util = true;
@@ -381,12 +382,13 @@ void Hypervisor::handle_data(net::PacketPtr pkt) {
   }
 
   if (htrace_active) {
-    pkt->htrace.active = false;
+    pkt->stop_trace();
     if (hybrid_ != nullptr) {
       // Report the links the flagged segment actually serialized on; the
       // engine promotes its flow here (suspending the sender and syncing
       // the receiver) before this — now stale — segment is delivered.
-      hybrid_->on_trace(*this, pkt->inner, pkt->htrace, htrace_port);
+      hybrid_->on_trace(*this, pkt->inner, pkt->path_record()->trace,
+                        htrace_port);
     }
   }
 

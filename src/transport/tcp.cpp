@@ -148,7 +148,7 @@ void TcpSender::send_segment(std::uint64_t seq, std::uint32_t len,
   pkt->ttl = 64;
   pkt->sent_at = port_.simulator().now();
   if (trace_next_ && !retransmit && len > 0) {
-    pkt->htrace.active = true;
+    pkt->start_trace();
     trace_next_ = false;
   }
   if (cfg_.ecn) {

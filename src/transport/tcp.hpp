@@ -173,8 +173,8 @@ class TcpSender : public TcpEndpoint {
   [[nodiscard]] bool hybrid_promoted() const { return hybrid_promoted_; }
 
   /// Flag the next outgoing data segment to capture its link-level path
-  /// (Packet::htrace) so the engine learns which links the current flowlet
-  /// rides before promoting.
+  /// (Packet::start_trace) so the engine learns which links the current
+  /// flowlet rides before promoting.
   void hybrid_request_trace() { trace_next_ = true; }
 
   /// Promote: freeze the packet-level machinery. Everything at or below

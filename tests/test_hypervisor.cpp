@@ -221,9 +221,9 @@ TEST_F(HypPair, IntUtilizationRelayed) {
   pkt->encap.present = true;
   pkt->encap.tuple = net::FiveTuple{a->ip(), b->ip(), 51000, kSttPort,
                                     net::Proto::kStt};
-  pkt->int_stack.enabled = true;
-  pkt->int_stack.push(0.3f);
-  pkt->int_stack.push(0.8f);
+  net::IntStack& stack = pkt->enable_int();
+  stack.push(0.3f);
+  stack.push(0.8f);
   b->receive(std::move(pkt), 0);
   b->vm_send(make_data(tuple(b->ip(), a->ip()), 0, 100));
   sim.run();

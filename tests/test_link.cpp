@@ -160,11 +160,12 @@ TEST_F(LinkTest, IntTelemetryAppendsUtilization) {
   c.int_telemetry = true;
   Link link(sim, 0, "l", &sink, 0, c);
   auto p = make_data(tuple(10, 1), 0, 1000);
-  p->int_stack.enabled = true;
+  p->enable_int();
   link.enqueue(std::move(p));
   sim.run();
   ASSERT_EQ(sink.received.size(), 1u);
-  EXPECT_EQ(sink.received[0]->int_stack.count, 1);
+  ASSERT_NE(sink.received[0]->path_record(), nullptr);
+  EXPECT_EQ(sink.received[0]->path_record()->int_stack.count, 1);
 }
 
 TEST_F(LinkTest, IntTelemetryRequiresEnabledStack) {
@@ -173,7 +174,7 @@ TEST_F(LinkTest, IntTelemetryRequiresEnabledStack) {
   Link link(sim, 0, "l", &sink, 0, c);
   link.enqueue(make_data(tuple(10, 1), 0, 1000));  // stack not enabled
   sim.run();
-  EXPECT_EQ(sink.received[0]->int_stack.count, 0);
+  EXPECT_EQ(sink.received[0]->path_record(), nullptr);  // no record either
 }
 
 TEST_F(LinkTest, CongaMetricFoldsUtilization) {

@@ -102,7 +102,6 @@ TEST(HashTuple, IndependentAcrossSalts) {
 
 TEST(IntStack, PushAndMax) {
   IntStack s;
-  s.enabled = true;
   s.push(0.3f);
   s.push(0.7f);
   s.push(0.5f);
@@ -119,6 +118,106 @@ TEST(IntStack, CapsAtMaxHops) {
 TEST(IntStack, EmptyMaxIsZero) {
   IntStack s;
   EXPECT_FLOAT_EQ(s.max_util(), 0.0f);
+}
+
+// ---------------------------------------------------------------------------
+// Packet layout
+// ---------------------------------------------------------------------------
+
+// Offset of `field` inside `p`, and the byte just past it. Address
+// arithmetic rather than offsetof: Packet mixes public and private members,
+// so it is not standard-layout and GCC warns (-Winvalid-offsetof) on it.
+template <typename T>
+std::size_t offset_in(const Packet& p, const T& field) {
+  return static_cast<std::size_t>(reinterpret_cast<const char*>(&field) -
+                                  reinterpret_cast<const char*>(&p));
+}
+template <typename T>
+std::size_t end_in(const Packet& p, const T& field) {
+  return offset_in(p, field) + sizeof(T);
+}
+
+TEST(PacketLayout, ForwardingHotFieldsEndInFirstCacheLine) {
+  // Everything a forwarding hop reads must sit in bytes [0, 64). The private
+  // hash cache and path-record flags are declared between `ttl` and `encap`,
+  // so `encap` starting inside the line covers them.
+  const Packet p;
+  EXPECT_LE(end_in(p, p.inner), 64u);
+  EXPECT_LE(end_in(p, p.payload), 64u);
+  EXPECT_LE(end_in(p, p.ttl), 64u);
+  EXPECT_LT(offset_in(p, p.ttl), offset_in(p, p.encap));
+  EXPECT_LE(end_in(p, p.encap.tuple), 64u);
+  EXPECT_LE(end_in(p, p.encap.present), 64u);
+  EXPECT_LE(end_in(p, p.encap.ecn), 64u);
+}
+
+TEST(PacketLayout, HeadersCarryNoAvoidablePadding) {
+  EXPECT_EQ(sizeof(CloveFeedback), 24u);
+  EXPECT_EQ(sizeof(EncapHeader), 56u);
+  EXPECT_EQ(sizeof(ProbeInfo), 16u);
+  EXPECT_EQ(sizeof(CongaFields), 12u);
+}
+
+// ---------------------------------------------------------------------------
+// Path records (INT samples, hybrid trace) behind Packet's handle
+// ---------------------------------------------------------------------------
+
+TEST(PathRecord, AbsentUntilFirstUse) {
+  Packet p;
+  EXPECT_EQ(p.path_record(), nullptr);
+  EXPECT_FALSE(p.int_enabled());
+  EXPECT_FALSE(p.trace_active());
+  p.enable_int().push(0.5f);
+  ASSERT_NE(p.path_record(), nullptr);
+  EXPECT_TRUE(p.int_enabled());
+  EXPECT_FALSE(p.trace_active());
+  PathRecord* rec = p.path_record();
+  p.start_trace().push(9);
+  EXPECT_EQ(p.path_record(), rec);  // one record holds both
+  EXPECT_EQ(rec->int_stack.count, 1);
+  EXPECT_EQ(rec->trace.count, 1);
+  p.enable_int();  // restarting empties the stack, keeps the trace
+  EXPECT_EQ(rec->int_stack.count, 0);
+  EXPECT_EQ(rec->trace.count, 1);
+}
+
+TEST(PathRecord, CopyDeepCopiesRecord) {
+  Packet a;
+  a.enable_int().push(0.25f);
+  a.start_trace().push(7);
+  Packet b = a;
+  ASSERT_NE(b.path_record(), nullptr);
+  EXPECT_NE(b.path_record(), a.path_record());
+  EXPECT_TRUE(b.int_enabled());
+  EXPECT_TRUE(b.trace_active());
+  EXPECT_FLOAT_EQ(b.path_record()->int_stack.max_util(), 0.25f);
+  ASSERT_EQ(b.path_record()->trace.count, 1);
+  EXPECT_EQ(b.path_record()->trace.links[0], 7u);
+  b.path_record()->int_stack.push(0.9f);
+  b.path_record()->trace.push(8);
+  EXPECT_EQ(a.path_record()->int_stack.count, 1);  // source untouched
+  EXPECT_EQ(a.path_record()->trace.count, 1);
+}
+
+TEST(PathRecord, CopyAssignReusesTargetRecord) {
+  Packet src;
+  src.enable_int().push(0.4f);
+  Packet dst;
+  dst.start_trace().push(3);
+  PathRecord* kept = dst.path_record();
+  dst = src;
+  EXPECT_EQ(dst.path_record(), kept);  // written in place, not reallocated
+  EXPECT_TRUE(dst.int_enabled());
+  EXPECT_FALSE(dst.trace_active());
+  EXPECT_EQ(kept->int_stack.count, 1);
+  EXPECT_EQ(kept->trace.count, 0);
+
+  const Packet bare;
+  dst = bare;  // a record-less source clears the target's record
+  EXPECT_EQ(dst.path_record(), kept);
+  EXPECT_FALSE(dst.int_enabled());
+  EXPECT_EQ(kept->int_stack.count, 0);
+  EXPECT_EQ(kept->trace.count, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -148,7 +247,7 @@ TEST(PacketPool, RecycledPacketsAreFullyReset) {
     p->ttl = 3;
     p->encap.present = true;
     p->tcp.seq = 999;
-    p->int_stack.push(0.7f);
+    p->enable_int().push(0.7f);
     p->sent_at = 42;
   }
   auto q = make_packet(sim);
@@ -156,8 +255,33 @@ TEST(PacketPool, RecycledPacketsAreFullyReset) {
   EXPECT_EQ(q->ttl, 64);
   EXPECT_FALSE(q->encap.present);
   EXPECT_EQ(q->tcp.seq, 0u);
-  EXPECT_EQ(q->int_stack.count, 0);
+  EXPECT_FALSE(q->int_enabled());
+  ASSERT_NE(q->path_record(), nullptr);
+  EXPECT_EQ(q->path_record()->int_stack.count, 0);
   EXPECT_EQ(q->sent_at, 0);
+}
+
+TEST(PacketPool, RecycledPacketCarriesNoStaleRecords) {
+  sim::Simulator sim;
+  auto& pool = PacketPool::of(sim);
+  PathRecord* rec;
+  {
+    auto p = make_packet(sim);
+    for (int i = 0; i < 3; ++i) p->enable_int().push(0.5f);
+    p->start_trace().push(11);
+    p->path_record()->trace.push(12);
+    rec = p->path_record();
+  }
+  auto q = make_packet(sim);
+  EXPECT_EQ(pool.allocated(), 1u);
+  EXPECT_FALSE(q->int_enabled());
+  EXPECT_FALSE(q->trace_active());
+  EXPECT_EQ(q->path_record(), rec);  // kept, not freed
+  EXPECT_EQ(rec->int_stack.count, 0);
+  EXPECT_EQ(rec->trace.count, 0);
+  EXPECT_FLOAT_EQ(q->enable_int().max_util(), 0.0f);
+  EXPECT_EQ(q->start_trace().count, 0);
+  EXPECT_EQ(q->path_record(), rec);  // re-enabling reuses it
 }
 
 TEST(PacketPool, UidsAreFreshAcrossReuse) {

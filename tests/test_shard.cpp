@@ -16,6 +16,8 @@
 #include "fault/fault.hpp"
 #include "harness/shard_runner.hpp"
 #include "net/fat_tree.hpp"
+#include "net/link.hpp"
+#include "net/packet_pool.hpp"
 #include "net/shard.hpp"
 #include "net/topology.hpp"
 #include "overlay/paths.hpp"
@@ -251,6 +253,55 @@ TEST(ShardDomain, LookaheadIsMinCrossShardPropagation) {
       EXPECT_EQ(topo.shard_of(sw), 3);
     }
   }
+}
+
+TEST(ShardChannel, StageAndDrainKeepPathRecords) {
+  // A Clove-INT, hybrid-traced packet crossing shards is copied into the
+  // channel at stage() and into the destination shard's pool at the drain;
+  // both records must arrive, with the crossing link's own hop appended.
+  struct KeepHost : net::Node {
+    using Node::Node;
+    void receive(net::PacketPtr pkt, int /*in_port*/) override {
+      got = std::move(pkt);
+    }
+    net::PacketPtr got;
+  };
+  sim::Simulator sim(1);
+  net::ShardDomain dom(sim, 2, 1);
+  KeepHost sink(1, "sink");  // after dom: returns its packet to a live pool
+  net::LinkConfig cfg;
+  cfg.int_telemetry = true;
+  net::Link link(dom.sim(0), 5, "x", &sink, 0, cfg);
+  link.set_channel(dom.make_channel(&link, 0, 1));
+
+  auto p = net::make_packet(dom.sim(0));
+  p->payload = 100;
+  p->enable_int().push(0.5f);
+  p->start_trace().push(3);
+  const std::uint64_t uid = p->uid;
+  link.enqueue(std::move(p));
+  dom.sim(0).run();
+  ASSERT_EQ(link.channel()->staged_count(), 1u);
+  dom.drain_channels();
+  dom.sim(1).run();
+
+  ASSERT_NE(sink.got, nullptr);
+  const net::Packet& q = *sink.got;
+  EXPECT_EQ(q.uid, uid);
+  EXPECT_TRUE(q.int_enabled());
+  EXPECT_TRUE(q.trace_active());
+  const net::PathRecord* rec = q.path_record();
+  ASSERT_NE(rec, nullptr);
+  ASSERT_EQ(rec->int_stack.count, 2);
+  EXPECT_FLOAT_EQ(rec->int_stack.util[0], 0.5f);
+  ASSERT_EQ(rec->trace.count, 2);
+  EXPECT_EQ(rec->trace.links[0], 3u);
+  EXPECT_EQ(rec->trace.links[1], 5u);
+  // The source packet went back to its own pool with its record kept.
+  auto back = net::make_packet(dom.sim(0));
+  ASSERT_NE(back->path_record(), nullptr);
+  EXPECT_EQ(back->path_record()->int_stack.count, 0);
+  EXPECT_NE(back->path_record(), rec);
 }
 
 TEST(ShardRunner, DefaultShardsReadsEnv) {
